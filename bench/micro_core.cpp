@@ -105,7 +105,7 @@ void BM_MemdRebuild(benchmark::State& state) {
   core::MemdCache cache;
   double t = 4000.0;
   for (auto _ : state) {
-    // Bump an entry so the cache must resync one row + rerun Dijkstra —
+    // Bump an entry so the cache must rebuild its own row + rerun Dijkstra —
     // the steady-state per-contact cost.
     mi.set_entry(0, 1 + static_cast<core::NodeIdx>(state.iterations() % (n - 2)),
                  50.0, t);

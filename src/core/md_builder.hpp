@@ -7,12 +7,13 @@
 // matrix ("ui can replace it with I_jk for simplicity"). Dijkstra over MD
 // from u_i then yields MEMD(u_i, d) for every destination d at once.
 //
-// MemdCache wraps this with version-based invalidation: the MD only needs
-// rebuilding when the node's MI or own history changed, which happens
-// exactly on the node's own contacts.
+// MemdCache is the routers' form. It never materialises MD: every row but
+// `self` is MI's shared row, so it recomputes only the Theorem-2 row and
+// runs Dijkstra over a row view (that row plus the MI row pointers). With
+// version-based invalidation it reruns only when the node's MI or own
+// history changed, or the time bucket moved.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,16 +39,14 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
                                    NodeIdx self, double t);
 
 /// Caches the Dijkstra distance vector from `self` over its current MD.
-/// Rebuilds lazily when (mi.version, history generation marker, time bucket)
+/// Recomputes lazily when (mi.version, history pair count, time bucket)
 /// changed. The time bucket quantizes t so the elapsed-time dependence of
-/// Theorem 2 still refreshes between contacts without rebuilding per query.
+/// Theorem 2 still refreshes between contacts without recomputing per
+/// query.
 ///
-/// The MD matrix is kept persistent between rebuilds and synced
-/// incrementally: only MI rows whose row_version moved since the last sync
-/// are recopied, and the own row (Theorem 2, time-dependent) is recomputed
-/// every rebuild. This turns the per-contact cost from O(n²) copy + O(n²)
-/// Dijkstra into O(changed rows · n) + O(n²) Dijkstra, which is what makes
-/// EER tractable at the paper's 240-node scale.
+/// A recompute is the O(n) Theorem-2 own row, n row pointers into `mi`,
+/// and an O(n²) Dijkstra over that row view; the cache holds O(n) state and
+/// its results equal Dijkstra over build_md() bit for bit.
 class MemdCache {
  public:
   explicit MemdCache(double time_quantum = 1.0) : quantum_(time_quantum) {}
@@ -61,29 +60,20 @@ class MemdCache {
                                        const ContactHistory& history, NodeIdx self,
                                        double t);
 
+  /// Forces the next query to recompute (buffers retained). Also the
+  /// Router::reset support: a reset MiMatrix rewinds its version.
   void invalidate() { valid_ = false; }
 
-  /// Forgets every synced row (buffers retained) — required when the
-  /// backing MiMatrix itself was reset, since its rewound row versions
-  /// could otherwise collide with the synced markers and leave stale MD
-  /// rows in place. Router::reset support.
-  void reset() {
-    valid_ = false;
-    std::fill(synced_versions_.begin(), synced_versions_.end(), ~0ULL);
-  }
-
  private:
-  void sync_md(const MiMatrix& mi, const ContactHistory& history, NodeIdx self,
-               double t);
-
   double quantum_;
   bool valid_ = false;
   std::uint64_t mi_version_ = 0;
   std::int64_t time_bucket_ = 0;
   std::size_t history_pairs_ = 0;
-  std::vector<double> dist_;
-  std::vector<double> md_;                      ///< persistent MD buffer
-  std::vector<std::uint64_t> synced_versions_;  ///< per-row MI versions in md_
+  std::vector<double> own_row_;      ///< Theorem-2 row of `self`
+  std::vector<double> window_;       ///< one peer's intervals, deque order
+  std::vector<const double*> rows_;  ///< the MD row view Dijkstra reads
+  DijkstraWorkspace dijkstra_;
 };
 
 }  // namespace dtn::core

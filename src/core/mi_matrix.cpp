@@ -6,52 +6,50 @@
 namespace dtn::core {
 
 MiMatrix::MiMatrix(NodeIdx n)
-    : n_(n), data_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), kUnknown),
-      row_times_(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity()),
-      row_versions_(static_cast<std::size_t>(n), 0) {
-  for (NodeIdx i = 0; i < n_; ++i) {
-    data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(i)] = 0.0;
-  }
-}
+    : n_(n), rows_(static_cast<std::size_t>(n)),
+      row_times_(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity()) {}
 
 void MiMatrix::reset() {
-  std::fill(data_.begin(), data_.end(), kUnknown);
-  for (NodeIdx i = 0; i < n_; ++i) {
-    data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(i)] = 0.0;
-  }
+  std::fill(rows_.begin(), rows_.end(), nullptr);
   std::fill(row_times_.begin(), row_times_.end(),
             -std::numeric_limits<double>::infinity());
-  std::fill(row_versions_.begin(), row_versions_.end(), 0);
   version_ = 0;
 }
 
 double MiMatrix::get(NodeIdx i, NodeIdx j) const {
   assert(i >= 0 && i < n_ && j >= 0 && j < n_);
-  return data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(j)];
+  const double* row = row_data(i);
+  if (row == nullptr) return i == j ? 0.0 : kUnknown;
+  return row[static_cast<std::size_t>(j)];
 }
 
 void MiMatrix::set_entry(NodeIdx i, NodeIdx j, double avg_interval, double t) {
   assert(i >= 0 && i < n_ && j >= 0 && j < n_);
   if (i == j) return;  // diagonal fixed at 0
-  data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(j)] = avg_interval;
+  const auto n = static_cast<std::size_t>(n_);
+  auto& row = rows_[static_cast<std::size_t>(i)];
+  if (row == nullptr) {
+    row = std::make_shared<double[]>(n, kUnknown);
+    row[static_cast<std::size_t>(i)] = 0.0;
+  } else if (row.use_count() > 1) {
+    // Copy-on-write: another matrix still reads the current version.
+    auto copy = std::make_shared_for_overwrite<double[]>(n);
+    std::copy_n(row.get(), n, copy.get());
+    row = std::move(copy);
+  }
+  row[static_cast<std::size_t>(j)] = avg_interval;
   row_times_[static_cast<std::size_t>(i)] =
       std::max(row_times_[static_cast<std::size_t>(i)], t);
-  ++row_versions_[static_cast<std::size_t>(i)];
   ++version_;
 }
 
 int MiMatrix::merge_from(const MiMatrix& other) {
   assert(other.n_ == n_);
   int copied = 0;
-  for (NodeIdx i = 0; i < n_; ++i) {
-    const auto row = static_cast<std::size_t>(i);
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
     if (other.row_times_[row] > row_times_[row]) {
-      const std::size_t begin = row * static_cast<std::size_t>(n_);
-      std::copy_n(other.data_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  static_cast<std::size_t>(n_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(begin));
+      rows_[row] = other.rows_[row];
       row_times_[row] = other.row_times_[row];
-      ++row_versions_[row];
       ++copied;
     }
   }

@@ -3,10 +3,24 @@
 // Each row carries a last-update timestamp; when two nodes meet they
 // exchange only the rows the other side has staler (paper footnote 1),
 // which is also what the control-overhead accounting charges.
+//
+// Storage is shared, copy-on-write rows. A matrix holds one
+// reference-counted handle per row plus that row's timestamp:
+//   - a row nobody has written yet is a null handle: it stores nothing,
+//     reads +inf off the diagonal and 0 on it;
+//   - merge_from copies handles, not n doubles, so after an exchange both
+//     matrices point at the same immutable row buffer;
+//   - set_entry writes in place when this matrix is the row's only holder
+//     and clones the row first when another matrix still shares it.
+// A world of n nodes thus costs n handles per node plus the row versions
+// still alive. Handles are std::shared_ptr, so matrices may be copied and
+// destroyed on any thread; a row is only ever written by the matrix that
+// holds its sole handle.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace dtn::core {
@@ -17,10 +31,12 @@ class MiMatrix {
  public:
   static constexpr double kUnknown = std::numeric_limits<double>::infinity();
 
+  /// All rows unknown. O(n): no row storage until a row is written.
   explicit MiMatrix(NodeIdx n);
 
-  /// Restores the just-constructed state (all entries unknown, diagonal 0,
-  /// rows never updated, version counters rewound) without reallocating —
+  /// Restores the just-constructed state (every row unknown and never
+  /// updated, version rewound). Releases this matrix's row handles but
+  /// keeps the handle and timestamp arrays, so it allocates nothing —
   /// Router::reset support for cross-run reuse.
   void reset();
 
@@ -37,8 +53,9 @@ class MiMatrix {
     return row_times_.at(static_cast<std::size_t>(i));
   }
 
-  /// Copies every row the `other` matrix has fresher. Returns the number of
-  /// rows copied (the unit the routers convert into control bytes).
+  /// Takes every row the `other` matrix has fresher, by sharing its
+  /// handle. Returns the number of rows taken (the unit the routers
+  /// convert into control bytes).
   int merge_from(const MiMatrix& other);
 
   /// Bytes one row occupies on the air: n doubles + a timestamp.
@@ -50,23 +67,17 @@ class MiMatrix {
   /// derived from the matrix (e.g. MEMD vectors) and detect staleness.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Per-row mutation counter (bumped when the row's content changes);
-  /// MemdCache uses it to resync only the rows that actually moved.
-  [[nodiscard]] std::uint64_t row_version(NodeIdx i) const {
-    return row_versions_.at(static_cast<std::size_t>(i));
-  }
-
-  /// Raw row access for bulk consumers (row-major, n entries starting at
-  /// row i). The span stays valid until the matrix is destroyed.
+  /// Row i's n entries, or nullptr while row i is unknown. This is the row
+  /// view Dijkstra reads. The pointer stays valid until this matrix next
+  /// writes row i, merges, resets or is destroyed.
   [[nodiscard]] const double* row_data(NodeIdx i) const {
-    return data_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(n_);
+    return rows_[static_cast<std::size_t>(i)].get();
   }
 
  private:
   NodeIdx n_;
-  std::vector<double> data_;       // row-major n×n
-  std::vector<double> row_times_;  // -inf = never updated
-  std::vector<std::uint64_t> row_versions_;
+  std::vector<std::shared_ptr<double[]>> rows_;  // null = unknown row
+  std::vector<double> row_times_;                // -inf = never updated
   std::uint64_t version_ = 0;
 };
 

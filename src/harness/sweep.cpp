@@ -549,6 +549,13 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
         std::raise(SIGKILL);  // deterministic "crashed right after this record"
       }
     }
+    // kill@point fires here, once point p is complete and its record (if
+    // journaling) is on disk — never at attempt start, where a concurrent
+    // worker could die before any record landed.
+    if (fault != nullptr && fault->action == SweepFaultPlan::Action::kKill &&
+        fault_armed(p)) {
+      std::raise(SIGKILL);
+    }
     st.samples.clear();
     st.samples.shrink_to_fit();
     st.error.clear();
@@ -648,14 +655,14 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     while (attempts < max_attempts && !ok) {
       ++attempts;
       int hang_ms = 0;
-      if (fault_armed(p)) {
-        switch (fault->action) {
-          case SweepFaultPlan::Action::kKill: std::raise(SIGKILL); break;
-          case SweepFaultPlan::Action::kThrow:
-            error = "injected fault: throw at point " + std::to_string(p);
-            continue;
-          case SweepFaultPlan::Action::kHang: hang_ms = fault->hang_ms; break;
+      // throw and hang act on the attempt; kill waits for finish_task.
+      if (fault != nullptr && fault->action != SweepFaultPlan::Action::kKill &&
+          fault_armed(p)) {
+        if (fault->action == SweepFaultPlan::Action::kThrow) {
+          error = "injected fault: throw at point " + std::to_string(p);
+          continue;
         }
+        hang_ms = fault->hang_ms;
       }
       ok = options.point_timeout_s > 0.0
                ? attempt_with_timeout(runner_slot, spec, hang_ms, sample, error)

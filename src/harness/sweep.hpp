@@ -83,15 +83,17 @@ struct SweepAxis {
 };
 
 /// Deterministic fault-injection hook for the crash-recovery tests (and
-/// the hidden `dtnsim sweep --fault` flag). The plan fires on attempts of
-/// grid point `point` (at most `fires` times, counted in `fired`), or —
-/// for kKill — when the journal length reaches `journal_bytes`. Owned by
-/// the caller; the engine only mutates `fired`.
+/// the hidden `dtnsim sweep --fault` flag). kThrow and kHang fire at the
+/// start of attempts of grid point `point` (at most `fires` times, counted
+/// in `fired`). kKill fires once `point` has completed and its journal
+/// record (when journaling) has been appended, or when the journal length
+/// reaches `journal_bytes`. Owned by the caller; the engine only mutates
+/// `fired`.
 struct SweepFaultPlan {
   enum class Action {
     kThrow,  ///< the attempt throws std::runtime_error("injected fault ...")
     kHang,   ///< the attempt sleeps hang_ms before running (drives timeouts)
-    kKill    ///< raise(SIGKILL) — the process dies exactly as a crash would
+    kKill    ///< raise(SIGKILL) after the point's record — a crash with work behind it
   };
   Action action = Action::kThrow;
   /// Grid point whose attempts trigger the fault (cross-product index).

@@ -67,8 +67,8 @@ class CrRouter final : public sim::Router {
   CrParams params_;
   std::shared_ptr<const core::CommunityTable> communities_;
   core::ContactHistory history_;
-  /// Intra-community MI': full n×n storage, but only rows/columns of own
-  /// community members are ever written or exchanged.
+  /// Intra-community MI', indexed by global node id. Only own-community
+  /// rows are ever written or exchanged, so only they hold storage.
   std::unique_ptr<core::MiMatrix> mi_intra_;
   /// Cached intra-community MEMD' distances (over the member sub-index).
   std::vector<double> intra_dist_;

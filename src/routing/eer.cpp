@@ -11,7 +11,7 @@ namespace dtn::routing {
 EerRouter::EerRouter(EerParams params)
     : params_(params), history_(params.window), memd_cache_(params.md_time_quantum) {}
 
-void EerRouter::ensure_state() {
+void EerRouter::ensure_state() const {
   if (!mi_) mi_ = std::make_unique<core::MiMatrix>(world().node_count());
 }
 

@@ -41,7 +41,7 @@ class EerRouter final : public sim::Router {
   void reset() override {
     history_.clear();
     if (mi_) mi_->reset();
-    memd_cache_.reset();
+    memd_cache_.invalidate();
   }
 
   void on_contact_up(sim::NodeIdx peer) override;
@@ -54,10 +54,15 @@ class EerRouter final : public sim::Router {
   [[nodiscard]] double memd(sim::NodeIdx dst, double t);
 
   [[nodiscard]] const core::ContactHistory& history() const { return history_; }
-  [[nodiscard]] const core::MiMatrix& mi() const { return *mi_; }
+  /// This node's MI view. A router that never had a contact or a message
+  /// still answers, with every row but the diagonal unknown.
+  [[nodiscard]] const core::MiMatrix& mi() const {
+    ensure_state();
+    return *mi_;
+  }
 
  private:
-  void ensure_state();
+  void ensure_state() const;
   void record_meeting(sim::NodeIdx peer, double t);
   void exchange_mi(sim::NodeIdx peer, EerRouter& peer_router);
   void route_messages(sim::NodeIdx peer, EerRouter* peer_router);
@@ -66,7 +71,8 @@ class EerRouter final : public sim::Router {
 
   EerParams params_;
   core::ContactHistory history_;
-  std::unique_ptr<core::MiMatrix> mi_;  ///< sized lazily to node_count()
+  /// Sized to node_count() on first use; mutable so mi() can create it.
+  mutable std::unique_ptr<core::MiMatrix> mi_;
   core::MemdCache memd_cache_;
 };
 

@@ -2,12 +2,11 @@
 
 #include <vector>
 
-#include "core/dijkstra.hpp"
 #include "sim/world.hpp"
 
 namespace dtn::routing {
 
-void MeedRouter::ensure_state() {
+void MeedRouter::ensure_state() const {
   if (!mi_) mi_ = std::make_unique<core::MiMatrix>(world().node_count());
 }
 
@@ -16,17 +15,14 @@ double MeedRouter::eed(sim::NodeIdx dst) {
   if (mi_->version() != dist_version_) {
     // MEED's delay graph is the MI of average intervals itself: the own row
     // is our averages, foreign rows arrive via the link-state exchange.
-    const auto n = mi_->size();
-    std::vector<double> w(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (core::NodeIdx i = 0; i < n; ++i) {
-      const double* row = mi_->row_data(i);
-      std::copy(row, row + n, w.begin() + static_cast<std::ptrdiff_t>(i) * n);
-      w[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)] = 0.0;
+    rows_.resize(static_cast<std::size_t>(mi_->size()));
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      rows_[i] = mi_->row_data(static_cast<core::NodeIdx>(i));
     }
-    dist_ = core::dijkstra_dense(w, n, self()).dist;
+    core::dijkstra_rows(rows_, self(), dijkstra_);
     dist_version_ = mi_->version();
   }
-  return dist_.at(static_cast<std::size_t>(dst));
+  return dijkstra_.result.dist.at(static_cast<std::size_t>(dst));
 }
 
 void MeedRouter::on_contact_up(sim::NodeIdx peer) {

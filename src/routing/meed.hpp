@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "core/contact_history.hpp"
+#include "core/dijkstra.hpp"
 #include "core/mi_matrix.hpp"
 #include "sim/router.hpp"
 
@@ -29,7 +30,6 @@ class MeedRouter final : public sim::Router {
   void reset() override {
     history_.clear();
     if (mi_) mi_->reset();
-    dist_.clear();
     dist_version_ = ~0ULL;
   }
 
@@ -39,17 +39,23 @@ class MeedRouter final : public sim::Router {
   /// Estimated expected delay self -> dst over the MI graph (+inf unknown).
   [[nodiscard]] double eed(sim::NodeIdx dst);
 
-  [[nodiscard]] const core::MiMatrix& mi() const { return *mi_; }
+  /// This node's MI view; all rows unknown before its first contact.
+  [[nodiscard]] const core::MiMatrix& mi() const {
+    ensure_state();
+    return *mi_;
+  }
 
  private:
-  void ensure_state();
+  void ensure_state() const;
   void route_one(const sim::StoredMessage& sm, sim::NodeIdx peer,
                  MeedRouter* peer_router);
 
   MeedParams params_;
   core::ContactHistory history_;
-  std::unique_ptr<core::MiMatrix> mi_;
-  std::vector<double> dist_;
+  /// Sized to node_count() on first use; mutable so mi() can create it.
+  mutable std::unique_ptr<core::MiMatrix> mi_;
+  std::vector<const double*> rows_;  ///< MI row view Dijkstra reads
+  core::DijkstraWorkspace dijkstra_;
   std::uint64_t dist_version_ = ~0ULL;
 };
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -137,6 +139,126 @@ TEST(Dijkstra, PathCostsMatchDistances) {
     }
     EXPECT_NEAR(cost, r.dist[static_cast<std::size_t>(v)], 1e-9);
   }
+}
+
+// The dense kernel as it stood before the row view, kept verbatim as the
+// oracle for the differential below.
+DijkstraResult dense_oracle(std::span<const double> delay, NodeIdx n, NodeIdx src) {
+  DijkstraResult result;
+  result.dist.assign(static_cast<std::size_t>(n), kInf);
+  result.parent.assign(static_cast<std::size_t>(n), -1);
+  std::vector<bool> done(static_cast<std::size_t>(n), false);
+  result.dist[static_cast<std::size_t>(src)] = 0.0;
+  for (NodeIdx iter = 0; iter < n; ++iter) {
+    NodeIdx u = -1;
+    double best = kInf;
+    for (NodeIdx v = 0; v < n; ++v) {
+      if (!done[static_cast<std::size_t>(v)] &&
+          result.dist[static_cast<std::size_t>(v)] < best) {
+        best = result.dist[static_cast<std::size_t>(v)];
+        u = v;
+      }
+    }
+    if (u < 0) break;
+    done[static_cast<std::size_t>(u)] = true;
+    const std::size_t row = static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
+    for (NodeIdx v = 0; v < n; ++v) {
+      if (done[static_cast<std::size_t>(v)] || v == u) continue;
+      double w = delay[row + static_cast<std::size_t>(v)];
+      if (w == kInf) continue;
+      if (w < 0.0) w = 0.0;
+      const double nd = best + w;
+      if (nd < result.dist[static_cast<std::size_t>(v)]) {
+        result.dist[static_cast<std::size_t>(v)] = nd;
+        result.parent[static_cast<std::size_t>(v)] = u;
+      }
+    }
+  }
+  return result;
+}
+
+void expect_same_bits(const DijkstraResult& a, const DijkstraResult& b, NodeIdx n,
+                      NodeIdx src, const char* what) {
+  ASSERT_EQ(a.dist.size(), static_cast<std::size_t>(n)) << what;
+  ASSERT_EQ(b.dist.size(), static_cast<std::size_t>(n)) << what;
+  for (std::size_t v = 0; v < a.dist.size(); ++v) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.dist[v]),
+              std::bit_cast<std::uint64_t>(b.dist[v]))
+        << what << " n=" << n << " src=" << src << " v=" << v;
+    EXPECT_EQ(a.parent[v], b.parent[v])
+        << what << " n=" << n << " src=" << src << " v=" << v;
+  }
+}
+
+class DijkstraRowViewTest : public ::testing::TestWithParam<int> {};
+
+// Randomised differential: the row-view kernel against dijkstra_dense and
+// the pre-row-view oracle, on matrices with +inf, zero and negative
+// (clamped) weights, many equal-distance ties (small integer weights) and
+// null rows. Every dist must match bit for bit and every parent exactly.
+TEST_P(DijkstraRowViewTest, MatchesDenseKernelBitForBit) {
+  const NodeIdx n = static_cast<NodeIdx>(GetParam());
+  const auto n_sz = static_cast<std::size_t>(n);
+  DijkstraWorkspace ws;  // reused across trials and sources
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    util::Pcg32 rng(2024 + trial, static_cast<std::uint64_t>(n));
+    std::vector<double> dense(n_sz * n_sz, kInf);
+    std::vector<const double*> rows(n_sz, nullptr);
+    for (NodeIdx i = 0; i < n; ++i) {
+      double* row = dense.data() + static_cast<std::size_t>(i) * n_sz;
+      // Diagonal garbage: neither kernel may read it.
+      row[static_cast<std::size_t>(i)] = rng.uniform(-9.0, 9.0);
+      if (rng.bernoulli(0.2)) continue;  // null row: no out-edges
+      rows[static_cast<std::size_t>(i)] = row;
+      for (NodeIdx j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const double pick = rng.next_double();
+        if (pick < 0.4) continue;  // +inf: no edge
+        if (pick < 0.5) {
+          row[static_cast<std::size_t>(j)] = 0.0;
+        } else if (pick < 0.6) {
+          row[static_cast<std::size_t>(j)] = -rng.uniform(0.0, 5.0);
+        } else if (pick < 0.85) {
+          row[static_cast<std::size_t>(j)] =
+              static_cast<double>(rng.uniform_int(1, 4));  // ties
+        } else {
+          row[static_cast<std::size_t>(j)] = rng.uniform(0.1, 100.0);
+        }
+      }
+    }
+    // Null rows read as +inf rows in the dense forms.
+    for (NodeIdx i = 0; i < n; ++i) {
+      if (rows[static_cast<std::size_t>(i)] != nullptr) continue;
+      double* row = dense.data() + static_cast<std::size_t>(i) * n_sz;
+      for (NodeIdx j = 0; j < n; ++j) {
+        if (j != i) row[static_cast<std::size_t>(j)] = kInf;
+      }
+    }
+    const NodeIdx stride = n > 32 ? 7 : 1;
+    for (NodeIdx src = 0; src < n; src += stride) {
+      const DijkstraResult oracle = dense_oracle(dense, n, src);
+      expect_same_bits(dijkstra_rows(rows, src, ws), oracle, n, src, "rows");
+      expect_same_bits(dijkstra_dense(dense, n, src), oracle, n, src, "dense");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DijkstraRowViewTest, ::testing::Values(1, 2, 17, 240));
+
+TEST(Dijkstra, RowViewWorkspaceShrinksWithN) {
+  // A workspace sized by a large graph must give exact results on a
+  // smaller one (no stale entries past n).
+  DijkstraWorkspace ws;
+  const auto big = matrix(5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 4, 1.0}});
+  std::vector<const double*> big_rows;
+  for (std::size_t i = 0; i < 5; ++i) big_rows.push_back(big.data() + i * 5);
+  dijkstra_rows(big_rows, 0, ws);
+  const auto small = matrix(2, {{0, 1, 3.0}});
+  const std::vector<const double*> small_rows{small.data(), nullptr};
+  const DijkstraResult& r = dijkstra_rows(small_rows, 0, ws);
+  ASSERT_EQ(r.dist.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.dist[1], 3.0);
+  EXPECT_EQ(r.parent[1], 0);
 }
 
 }  // namespace

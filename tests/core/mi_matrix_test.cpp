@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace dtn::core {
 namespace {
@@ -117,6 +124,135 @@ TEST(MiMatrix, ThreeWayGossipPropagatesRows) {
   b.merge_from(a);
   c.merge_from(b);
   EXPECT_DOUBLE_EQ(c.get(0, 1), 10.0);  // a's row reached c through b
+}
+
+TEST(MiMatrix, UnknownRowHasNoStorage) {
+  MiMatrix mi(3);
+  EXPECT_EQ(mi.row_data(1), nullptr);
+  mi.set_entry(1, 2, 7.0, 1.0);
+  ASSERT_NE(mi.row_data(1), nullptr);
+  EXPECT_DOUBLE_EQ(mi.row_data(1)[1], 0.0);  // diagonal of a fresh row
+  EXPECT_TRUE(std::isinf(mi.row_data(1)[0]));
+  mi.reset();
+  EXPECT_EQ(mi.row_data(1), nullptr);
+  EXPECT_EQ(mi.version(), 0u);
+}
+
+TEST(MiMatrix, MergeSharesRowsAndWriteCopies) {
+  MiMatrix a(3);
+  MiMatrix b(3);
+  a.set_entry(0, 1, 10.0, 1.0);
+  b.merge_from(a);
+  EXPECT_EQ(a.row_data(0), b.row_data(0));  // one buffer, two handles
+  a.set_entry(0, 2, 20.0, 2.0);             // owner writes: clone first
+  EXPECT_NE(a.row_data(0), b.row_data(0));
+  EXPECT_TRUE(std::isinf(b.get(0, 2)));
+  EXPECT_DOUBLE_EQ(a.get(0, 2), 20.0);
+  const double* sole = a.row_data(0);
+  a.set_entry(0, 1, 11.0, 3.0);  // sole holder: written in place
+  EXPECT_EQ(a.row_data(0), sole);
+}
+
+// The dense n×n matrix the shared-row layout replaced, as a reference
+// model: same get / set_entry / merge_from / reset / version semantics.
+struct DenseMi {
+  explicit DenseMi(NodeIdx n_) : n(n_) { reset(); }
+  void reset() {
+    data.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+                MiMatrix::kUnknown);
+    for (NodeIdx i = 0; i < n; ++i) data[static_cast<std::size_t>(i * n + i)] = 0.0;
+    times.assign(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity());
+    version = 0;
+  }
+  void set_entry(NodeIdx i, NodeIdx j, double v, double t) {
+    if (i == j) return;
+    data[static_cast<std::size_t>(i * n + j)] = v;
+    times[static_cast<std::size_t>(i)] = std::max(times[static_cast<std::size_t>(i)], t);
+    ++version;
+  }
+  int merge_from(const DenseMi& other) {
+    int copied = 0;
+    for (NodeIdx i = 0; i < n; ++i) {
+      if (other.times[static_cast<std::size_t>(i)] > times[static_cast<std::size_t>(i)]) {
+        std::copy_n(other.data.begin() + i * n, n, data.begin() + i * n);
+        times[static_cast<std::size_t>(i)] = other.times[static_cast<std::size_t>(i)];
+        ++copied;
+      }
+    }
+    if (copied > 0) ++version;
+    return copied;
+  }
+  NodeIdx n;
+  std::vector<double> data;
+  std::vector<double> times;
+  std::uint64_t version = 0;
+};
+
+void expect_matches(const MiMatrix& mi, const DenseMi& ref, int step, int which) {
+  ASSERT_EQ(mi.version(), ref.version) << "step " << step << " matrix " << which;
+  for (NodeIdx i = 0; i < ref.n; ++i) {
+    ASSERT_EQ(mi.row_time(i), ref.times[static_cast<std::size_t>(i)])
+        << "step " << step << " matrix " << which << " row " << i;
+    for (NodeIdx j = 0; j < ref.n; ++j) {
+      ASSERT_EQ(mi.get(i, j), ref.data[static_cast<std::size_t>(i * ref.n + j)])
+          << "step " << step << " matrix " << which << " (" << i << "," << j << ")";
+    }
+  }
+}
+
+// Randomised set_entry / merge_from / copy / reset sequences over several
+// matrices that share rows: every matrix must read exactly like its dense
+// model, merges must return the dense counts, and a write through one
+// matrix must never show through a row view another matrix handed out.
+TEST(MiMatrix, SharedRowsMatchDenseModel) {
+  constexpr NodeIdx kN = 6;
+  constexpr int kMatrices = 4;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Pcg32 rng(seed, 77);
+    std::vector<MiMatrix> shared(kMatrices, MiMatrix(kN));
+    std::vector<DenseMi> dense(kMatrices, DenseMi(kN));
+    double clock = 0.0;
+    for (int step = 0; step < 600; ++step) {
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, kMatrices - 1));
+      const auto b = static_cast<std::size_t>(rng.uniform_int(0, kMatrices - 1));
+      const double op = rng.next_double();
+      if (op < 0.45) {
+        const auto i = static_cast<NodeIdx>(rng.uniform_int(0, kN - 1));
+        const auto j = static_cast<NodeIdx>(rng.uniform_int(0, kN - 1));
+        const double v = rng.uniform(1.0, 100.0);
+        // Mostly advancing stamps, sometimes an older one.
+        clock += rng.uniform(0.0, 3.0);
+        const double t = rng.bernoulli(0.15) ? clock - 5.0 : clock;
+        // Views other matrices hand out must not move under this write.
+        std::vector<std::pair<const double*, std::vector<double>>> views;
+        for (std::size_t m = 0; m < shared.size(); ++m) {
+          if (m == a || shared[m].row_data(i) == nullptr) continue;
+          const double* row = shared[m].row_data(i);
+          views.emplace_back(row, std::vector<double>(row, row + kN));
+        }
+        shared[a].set_entry(i, j, v, t);
+        dense[a].set_entry(i, j, v, t);
+        for (const auto& [row, before] : views) {
+          for (NodeIdx k = 0; k < kN; ++k) {
+            ASSERT_EQ(row[k], before[static_cast<std::size_t>(k)]) << "step " << step;
+          }
+        }
+      } else if (op < 0.85) {
+        ASSERT_EQ(shared[a].merge_from(shared[b]), dense[a].merge_from(dense[b]))
+            << "step " << step;
+      } else if (op < 0.95) {
+        shared[a] = MiMatrix(shared[b]);
+        dense[a] = dense[b];
+      } else {
+        shared[a].reset();
+        dense[a].reset();
+      }
+      for (int m = 0; m < kMatrices; ++m) {
+        expect_matches(shared[static_cast<std::size_t>(m)],
+                       dense[static_cast<std::size_t>(m)], step, m);
+      }
+    }
+  }
 }
 
 }  // namespace

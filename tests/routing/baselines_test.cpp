@@ -1,6 +1,7 @@
 // Tests for the extension baselines: MEED, FirstContact, Delegation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "../test_support.hpp"
@@ -120,6 +121,19 @@ TEST(Meed, ChargesLinkStateOverhead) {
   world.add_node(pinned({5.0, 0.0}), std::make_unique<MeedRouter>(MeedParams{}));
   world.step();
   EXPECT_GT(world.metrics().control_bytes(), 0);
+}
+
+TEST(Meed, ContactlessRouterHasAnUnknownMi) {
+  sim::World world(test_world_config());
+  world.add_node(pinned({0.0, 0.0}), std::make_unique<MeedRouter>(MeedParams{}));
+  auto router1 = std::make_unique<MeedRouter>(MeedParams{});
+  MeedRouter* r1 = router1.get();
+  world.add_node(pinned({2000.0, 0.0}), std::move(router1));
+  world.run(5.0);
+  ASSERT_EQ(r1->mi().size(), 2);
+  EXPECT_EQ(r1->mi().version(), 0u);
+  EXPECT_TRUE(std::isinf(r1->mi().get(1, 0)));
+  EXPECT_TRUE(std::isinf(r1->eed(0)));
 }
 
 // ---------- Delegation ----------

@@ -216,5 +216,29 @@ TEST(Eer, ControlOverheadCharged) {
   EXPECT_GT(world.metrics().control_bytes(), 0);
 }
 
+TEST(Eer, ContactlessRouterHasAnUnknownMi) {
+  // A router that never had a contact or a message (one bus in a seed of
+  // the paper's 240-bus world) must still answer mi() and memd().
+  sim::World world(test_world_config());
+  world.add_node(pinned({0.0, 0.0}), eer());
+  world.add_node(pinned({5.0, 0.0}), eer());
+  auto router2 = eer();
+  EerRouter* r2 = router2.get();
+  world.add_node(pinned({2000.0, 0.0}), std::move(router2));
+  world.run(10.0);
+  const core::MiMatrix& mi = r2->mi();
+  ASSERT_EQ(mi.size(), 3);
+  EXPECT_EQ(mi.version(), 0u);
+  for (core::NodeIdx i = 0; i < 3; ++i) {
+    EXPECT_EQ(mi.row_data(i), nullptr);
+    EXPECT_TRUE(std::isinf(mi.row_time(i)));
+    for (core::NodeIdx j = 0; j < 3; ++j) {
+      EXPECT_EQ(mi.get(i, j), i == j ? 0.0 : core::MiMatrix::kUnknown);
+    }
+  }
+  EXPECT_TRUE(std::isinf(r2->memd(0, world.now())));
+  EXPECT_DOUBLE_EQ(r2->memd(2, world.now()), 0.0);
+}
+
 }  // namespace
 }  // namespace dtn::routing

@@ -13,6 +13,8 @@
 //   - World::reseed() of a warmed world must perform exactly zero
 //     allocations, and a whole reused-world seed (reseed + full re-run)
 //     must stay at ~0 allocations/step;
+//   - the same zero-allocation reseed holds for EER routers, whose MI
+//     views hold shared copy-on-write rows;
 //   - a ThreadPool::parallel_for dispatch on the warm shared pool must
 //     perform zero allocations on the coordinating thread (no per-task
 //     std::function, no futures, no queue nodes).
@@ -32,6 +34,7 @@
 
 #include "../test_support.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "routing/eer.hpp"
 #include "routing/epidemic.hpp"
 #include "sim/buffer.hpp"
 #include "sim/world.hpp"
@@ -242,6 +245,35 @@ TEST(AllocRegression, MatrixWorkloadReseedIsAllocationFree) {
   const std::uint64_t reseed_allocs = counted([&] { world.reseed(33); });
   EXPECT_EQ(reseed_allocs, 0u)
       << "matrix-workload World::reseed() must recycle, not allocate";
+}
+
+TEST(AllocRegression, EerWorldReseedIsAllocationFree) {
+  // EER routers hold MI rows shared with their peers' matrices, a MEMD
+  // cache and a contact history; Router::reset must drop the rows and keep
+  // every buffer, so World::reseed() stays allocation-free.
+  WorldConfig config;
+  config.seed = 41;
+  World world(config);
+  mobility::RandomWaypointParams move;
+  move.world_min = {0.0, 0.0};
+  const double side = std::sqrt(120.0 * 60);
+  move.world_max = {side, side};
+  move.speed_min = 2.0;
+  move.speed_max = 14.0;
+  for (int i = 0; i < 60; ++i) {
+    world.add_node(move, std::make_unique<routing::EerRouter>(routing::EerParams{}));
+  }
+  TrafficParams traffic;
+  traffic.interval_min = 2.0;
+  traffic.interval_max = 4.0;
+  world.set_traffic(traffic);
+  for (int i = 0; i < 3000; ++i) world.step();
+  ASSERT_GT(world.metrics().relayed(), 0);  // MI exchanges and MEMD ran
+  world.reseed(42);
+  for (int i = 0; i < 1000; ++i) world.step();
+
+  const std::uint64_t reseed_allocs = counted([&] { world.reseed(43); });
+  EXPECT_EQ(reseed_allocs, 0u) << "EER World::reseed() must recycle, not allocate";
 }
 
 TEST(AllocRegression, ParallelForDispatchIsAllocationFree) {
