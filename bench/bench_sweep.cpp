@@ -1,17 +1,12 @@
 // Campaign-throughput benchmark: the perf trajectory for the experiment
 // EXECUTION layer (harness::run_sweep), complementing bench_world_step's
-// single-run kernel numbers. One binary A/B-times the same
-// (protocol x node-count x seed) screening campaign through:
-//   legacy — the pre-PR3 stack: throwaway ThreadPool per sweep, one heap
-//            task + future per run, fresh World per run, per-object
-//            virtual movement (WorldConfig::legacy_movement_path), mutex-
-//            serialized merge;
-//   reused — the current stack: persistent shared pool with chunked
-//            atomic-counter dispatch, one reusable World per worker
-//            (World::reset capacity retention), SoA batched-RNG movement,
-//            per-task samples folded deterministically after the loop.
-// Both sides must produce bit-identical sweep aggregates (cross-checked
-// fatally) — the speedup is pure execution-layer engineering.
+// single-run kernel numbers. It times one (protocol x node-count x seed)
+// screening campaign through the sweep engine (persistent shared pool with
+// chunked atomic-counter dispatch, one reusable World per worker, SoA
+// batched-RNG movement, per-seed samples folded deterministically) twice
+// per trial: at threads = 1 (per-core throughput) and at hardware
+// concurrency. The engine's contract is that aggregates are bit-identical
+// for any thread count, so the two runs are cross-checked fatally.
 //
 // A second section measures the cross-seed reuse contract directly:
 // heap allocations per seed for a World::reseed()-driven campaign vs
@@ -24,12 +19,13 @@
 //
 // Results land in BENCH_sweep.json (committed at the repo root).
 //
-// Flags: --trials N (A/B repetitions, default 3; best-of wins),
+// Flags: --trials N (repetitions, default 3; best-of wins),
 //        --seeds N (seeds per grid point, default 6),
 //        --duration S (simulated seconds per run, default 600),
 //        --out PATH (default BENCH_sweep.json),
 //        --smoke (tiny campaign for CI: bench_smoke runs
 //                 `bench_sweep --smoke`).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -39,6 +35,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -82,10 +79,7 @@ harness::SweepOptions campaign(bool smoke, int seeds, double duration_s) {
   opt.node_counts = smoke ? std::vector<int>{24} : std::vector<int>{40, 80};
   opt.seeds = smoke ? 2 : seeds;
   opt.seed_base = 1000;
-  // threads = 1: per-core campaign throughput, and it keeps the legacy
-  // mutex-merge accumulation in task order so aggregates are comparable
-  // bit for bit (multi-threaded legacy merges in completion order).
-  opt.threads = 1;
+  opt.threads = 1;  // per-core campaign throughput
   opt.base.duration_s = smoke ? 200.0 : duration_s;
   opt.base.node_count = 0;  // overlaid per point
   opt.base.map.rows = 6;
@@ -268,15 +262,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  harness::SweepOptions reused_opt = bench::campaign(smoke, seeds, duration);
-  harness::SweepOptions legacy_opt = reused_opt;
-  // The full pre-PR3 stack: old execution engine + per-object virtual
-  // movement + full-storage pair sweep (each flag keeps the predecessor
-  // implementation alive in this binary; observable behavior is identical
-  // on every axis, enforced by the aggregate cross-check below).
-  legacy_opt.exec = harness::SweepOptions::Exec::kLegacy;
-  legacy_opt.base.world.legacy_movement_path = true;
-  legacy_opt.base.world.legacy_pair_sweep = true;
+  const harness::SweepOptions reused_opt = bench::campaign(smoke, seeds, duration);
+  harness::SweepOptions parallel_opt = reused_opt;
+  parallel_opt.threads = 0;  // hardware concurrency
+  const unsigned parallel_threads = std::max(1u, std::thread::hardware_concurrency());
 
   const std::size_t runs = reused_opt.protocols.size() *
                            reused_opt.node_counts.size() *
@@ -287,30 +276,31 @@ int main(int argc, char** argv) {
               points, reused_opt.seeds, runs, reused_opt.base.duration_s);
   std::fflush(stdout);
 
-  // Interleaved A/B trials (shared-vCPU hosts drift over minutes); the
-  // best segment of each side wins.
-  double legacy_best = 1e300;
+  // Interleaved trials (shared-vCPU hosts drift over minutes); the best
+  // segment of each thread count wins.
   double reused_best = 1e300;
-  std::vector<harness::PointResult> legacy_results;
+  double parallel_best = 1e300;
   std::vector<harness::PointResult> reused_results;
+  std::vector<harness::PointResult> parallel_results;
   for (int t = 0; t < trials; ++t) {
-    legacy_best = std::min(legacy_best, bench::run_campaign(legacy_opt, legacy_results));
     reused_best = std::min(reused_best, bench::run_campaign(reused_opt, reused_results));
+    parallel_best =
+        std::min(parallel_best, bench::run_campaign(parallel_opt, parallel_results));
   }
-  if (!bench::identical_aggregates(legacy_results, reused_results)) {
+  if (!bench::identical_aggregates(reused_results, parallel_results)) {
     std::fprintf(stderr,
-                 "FATAL: legacy and reused sweep aggregates diverged — the "
-                 "execution engines are not observably equivalent\n");
+                 "FATAL: sweep aggregates at threads=1 and threads=%u diverged — "
+                 "the engine broke its any-thread-count contract\n",
+                 parallel_threads);
     return 1;
   }
-  const double legacy_rps = static_cast<double>(runs) / legacy_best;
   const double reused_rps = static_cast<double>(runs) / reused_best;
-  const double speedup = reused_rps / legacy_rps;
+  const double parallel_rps = static_cast<double>(runs) / parallel_best;
   std::printf(
-      "legacy  %7.2f runs/s (%6.2f points/s)\nreused  %7.2f runs/s "
-      "(%6.2f points/s)\nspeedup %.2fx | aggregates bit-identical\n",
-      legacy_rps, static_cast<double>(points) / legacy_best, reused_rps,
-      static_cast<double>(points) / reused_best, speedup);
+      "threads=1  %7.2f runs/s (%6.2f points/s)\nthreads=%-2u %7.2f runs/s "
+      "| aggregates bit-identical\n",
+      reused_rps, static_cast<double>(points) / reused_best, parallel_threads,
+      parallel_rps);
   std::fflush(stdout);
 
   // Cross-seed allocation contract.
@@ -366,11 +356,10 @@ int main(int argc, char** argv) {
       "  \"campaign\": \"bus-map screening sweep: %zu protocols x %zu node "
       "counts x %d seeds, %.0f s sim/run, threads=1\",\n"
       "  \"runs\": %zu, \"trials\": %d,\n"
-      "  \"legacy_runs_per_sec\": %.3f,\n"
       "  \"reused_runs_per_sec\": %.3f,\n"
-      "  \"legacy_points_per_sec\": %.3f,\n"
       "  \"reused_points_per_sec\": %.3f,\n"
-      "  \"speedup\": %.2f,\n"
+      "  \"parallel_threads\": %u,\n"
+      "  \"parallel_runs_per_sec\": %.3f,\n"
       "  \"aggregates_identical\": true,\n"
       "  \"allocs_per_reused_seed\": {\"nodes\": %d, \"steps\": %d, "
       "\"reused\": %.1f, \"reused_per_step\": %.4f, \"fresh\": %.0f},\n"
@@ -380,9 +369,9 @@ int main(int argc, char** argv) {
       "\"replay_identical\": true}\n"
       "}\n",
       reused_opt.protocols.size(), reused_opt.node_counts.size(),
-      reused_opt.seeds, reused_opt.base.duration_s, runs, trials, legacy_rps,
-      reused_rps, static_cast<double>(points) / legacy_best,
-      static_cast<double>(points) / reused_best, speedup, alloc_nodes, alloc_steps,
+      reused_opt.seeds, reused_opt.base.duration_s, runs, trials, reused_rps,
+      static_cast<double>(points) / reused_best, parallel_threads, parallel_rps,
+      alloc_nodes, alloc_steps,
       alloc.reused_allocs_per_seed, reused_allocs_per_step,
       alloc.fresh_allocs_per_seed, hub_runs, hub_rps, hub_pps);
 

@@ -1,25 +1,21 @@
 // World-step throughput benchmark: the perf trajectory for the simulation
-// kernel. Runs the same random-waypoint + epidemic workload through the
-// current engine and through the seed's algorithms — full-rescan contact
-// detection (WorldConfig::legacy_contact_path) and the list+map message
-// store (WorldConfig::legacy_buffer_path) — in one binary, and reports
-// steps/sec and contact-events/sec at n in {100, 500, 2000} plus their
-// speedup. Results land in BENCH_world_step.json (committed at the repo
-// root) so successive PRs have a comparable perf history.
+// kernel. Runs a random-waypoint + epidemic workload and reports steps/sec
+// and contact-events/sec at n in {100, 500, 2000}, plus the exact number
+// of contact events in the timed window — a host-independent work count
+// that pins the workload itself. Results land in BENCH_world_step.json
+// (committed at the repo root) so successive PRs have a comparable perf
+// history.
 //
-// A second, buffer-pressure workload isolates the message store: small
-// buffers (a few packets) under dense traffic force constant insert /
-// evict / scan churn, both worlds use the incremental contact engine, and
-// only the store implementation differs (slab vs seed list+map). The two
-// runs must produce identical metrics — the store swap is observably
-// inert (also enforced by sim_buffer_equivalence_test).
+// A second, buffer-pressure workload stresses the slab message store:
+// small packets under dense traffic saturate every buffer and force
+// constant insert / evict / scan churn.
 //
-// The binary also verifies the allocation contract: a global operator new
-// counter measures heap allocations per step after warm-up, (a) on a
+// The binary also measures the allocation contract: a global operator new
+// counter counts heap allocations per step after warm-up, (a) on a
 // traffic-free run where step() == move + detect_contacts, and (b) on the
-// buffer-pressure workload where the store churns every step. The current
-// engine must report ~0 for both (residuals: rare spatial-grid cell
-// discovery and per-first-delivery metrics bookkeeping).
+// buffer-pressure workload where the store churns every step. Both should
+// be ~0 (residuals: rare spatial-grid cell discovery and
+// per-first-delivery metrics bookkeeping).
 //
 // A third, sparse-field workload times the kinetic event kernel
 // (WorldConfig::event_kernel) against the fixed-dt loop it replaces: a
@@ -89,17 +85,12 @@ struct WorkloadTuning {
 /// Random-waypoint world at constant density (`area_per_node` m^2 per node,
 /// 10 m radio range: a DTN with steady link churn). `with_traffic` adds the
 /// paper's 25 KB message stream over epidemic routers so the contact layer
-/// is exercised by real neighbor queries and transfers. `legacy_contact`
-/// and `legacy_buffer` select the seed implementations independently so
-/// each subsystem can be A/B-timed in isolation or together.
-std::unique_ptr<sim::World> build_world(int nodes, bool legacy_contact,
-                                        bool legacy_buffer, bool with_traffic,
+/// is exercised by real neighbor queries and transfers.
+std::unique_ptr<sim::World> build_world(int nodes, bool with_traffic,
                                         double area_per_node,
                                         const WorkloadTuning& tuning = {}) {
   sim::WorldConfig config;
   config.seed = 42;
-  config.legacy_contact_path = legacy_contact;
-  config.legacy_buffer_path = legacy_buffer;
   config.buffer_bytes = tuning.buffer_bytes;
   auto world = std::make_unique<sim::World>(config);
   const double side = std::sqrt(area_per_node * nodes);
@@ -130,48 +121,30 @@ double time_segment(sim::World& world, int steps) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Benchmarks the legacy and incremental engines on identical worlds with
-/// INTERLEAVED trial segments — the host is a shared vCPU whose speed
-/// drifts over minutes, so back-to-back A/B segments see the same
-/// conditions and best-of-`trials` filters scheduler noise. Both worlds
-/// step the same schedule from the same seed, so their total contact-event
-/// counts must match exactly (cross-checked by the caller).
-std::pair<RunResult, RunResult> timed_ab_run(sim::World& legacy_world,
-                                             sim::World& incr_world, int warmup,
-                                             int steps, int trials) {
-  for (int i = 0; i < warmup; ++i) legacy_world.step();
-  for (int i = 0; i < warmup; ++i) incr_world.step();
-  const std::int64_t legacy_before = legacy_world.contact_events();
-  const std::int64_t incr_before = incr_world.contact_events();
-  double legacy_best = 1e300;
-  double incr_best = 1e300;
-  std::int64_t legacy_best_events = 0;
-  std::int64_t incr_best_events = 0;
+/// Steps `world` through `warmup` untimed steps, then `trials` timed
+/// segments of `steps` steps; best-of-`trials` filters scheduler noise on a
+/// shared host. contact_events counts the whole timed window (every trial),
+/// so it depends only on the workload and the flags.
+RunResult timed_run(sim::World& world, int warmup, int steps, int trials) {
+  for (int i = 0; i < warmup; ++i) world.step();
+  const std::int64_t before = world.contact_events();
+  double best = 1e300;
+  std::int64_t best_events = 0;
   for (int t = 0; t < trials; ++t) {
-    std::int64_t seg = legacy_world.contact_events();
-    double secs = time_segment(legacy_world, steps);
-    if (secs < legacy_best) {
-      legacy_best = secs;
-      legacy_best_events = legacy_world.contact_events() - seg;
-    }
-    seg = incr_world.contact_events();
-    secs = time_segment(incr_world, steps);
-    if (secs < incr_best) {
-      incr_best = secs;
-      incr_best_events = incr_world.contact_events() - seg;
+    const std::int64_t seg = world.contact_events();
+    const double secs = time_segment(world, steps);
+    if (secs < best) {
+      best = secs;
+      best_events = world.contact_events() - seg;
     }
   }
   // Rates come from the best segment alone (time AND events of that same
   // segment) so steps_per_sec and contact_events_per_sec stay consistent.
-  RunResult legacy;
-  legacy.contact_events = legacy_world.contact_events() - legacy_before;
-  legacy.steps_per_sec = steps / legacy_best;
-  legacy.contact_events_per_sec = static_cast<double>(legacy_best_events) / legacy_best;
-  RunResult incr;
-  incr.contact_events = incr_world.contact_events() - incr_before;
-  incr.steps_per_sec = steps / incr_best;
-  incr.contact_events_per_sec = static_cast<double>(incr_best_events) / incr_best;
-  return {legacy, incr};
+  RunResult run;
+  run.contact_events = world.contact_events() - before;
+  run.steps_per_sec = steps / best;
+  run.contact_events_per_sec = static_cast<double>(best_events) / best;
+  return run;
 }
 
 /// Sparse open-field world for the event-kernel A/B: random waypoint at
@@ -200,9 +173,9 @@ std::unique_ptr<sim::World> build_sparse_world(int nodes, bool event_kernel,
 
 /// Times run(duration) end to end for both worlds (the kernel dispatches
 /// inside run(), so calendar construction is part of the measured cost).
-/// Trials are INTERLEAVED like timed_ab_run, with reseed(seed) restoring
-/// bit-identical state between trials; returns {fixed_best, event_best}
-/// wall seconds.
+/// Trials are INTERLEAVED so back-to-back A/B segments see the same host
+/// conditions, with reseed(seed) restoring bit-identical state between
+/// trials; returns {fixed_best, event_best} wall seconds.
 std::pair<double, double> timed_kernel_ab(sim::World& fixed_world,
                                           sim::World& event_world,
                                           double duration, int trials) {
@@ -228,11 +201,9 @@ std::pair<double, double> timed_kernel_ab(sim::World& fixed_world,
 /// Heap allocations per step, after warm-up. Traffic-free isolates the
 /// contact layer (step() == move + detect_contacts); with traffic and
 /// pressure tuning it measures the full transfer + store churn path.
-double allocs_per_step(int nodes, bool legacy_contact, bool legacy_buffer,
-                       bool with_traffic, int warmup, int steps,
+double allocs_per_step(int nodes, bool with_traffic, int warmup, int steps,
                        double area_per_node, const WorkloadTuning& tuning = {}) {
-  auto world = build_world(nodes, legacy_contact, legacy_buffer, with_traffic,
-                           area_per_node, tuning);
+  auto world = build_world(nodes, with_traffic, area_per_node, tuning);
   for (int i = 0; i < warmup; ++i) world->step();
   g_allocs.store(0);
   g_count_allocs = true;
@@ -281,51 +252,28 @@ int main(int argc, char** argv) {
     const int n = node_counts[i];
     std::printf("n=%d ...\n", n);
     std::fflush(stdout);
-    // Legacy = the seed's cost profile end to end: full-rescan contact
-    // detection AND the list+map message store.
-    auto legacy_world = bench::build_world(n, /*legacy_contact=*/true,
-                                           /*legacy_buffer=*/true,
-                                           /*with_traffic=*/true, density);
-    auto incr_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/false,
-                                         /*with_traffic=*/true, density);
-    const auto [legacy, incr] =
-        bench::timed_ab_run(*legacy_world, *incr_world, warmup, steps, trials);
-    if (incr.contact_events != legacy.contact_events) {
-      std::fprintf(stderr,
-                   "FATAL: contact-event mismatch at n=%d (legacy %lld, "
-                   "incremental %lld) — the two paths diverged\n",
-                   n, static_cast<long long>(legacy.contact_events),
-                   static_cast<long long>(incr.contact_events));
-      return 1;
-    }
-    const double speedup = incr.steps_per_sec / legacy.steps_per_sec;
-    std::printf(
-        "n=%-5d legacy %9.1f steps/s | incremental %9.1f steps/s | "
-        "%.2fx | %.0f contact-events/s\n",
-        n, legacy.steps_per_sec, incr.steps_per_sec, speedup,
-        incr.contact_events_per_sec);
+    auto world = bench::build_world(n, /*with_traffic=*/true, density);
+    const bench::RunResult run = bench::timed_run(*world, warmup, steps, trials);
+    std::printf("n=%-5d %9.1f steps/s | %.0f contact-events/s | %lld contact events\n",
+                n, run.steps_per_sec, run.contact_events_per_sec,
+                static_cast<long long>(run.contact_events));
     std::fflush(stdout);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"nodes\": %d, \"legacy_steps_per_sec\": %.1f, "
-                  "\"incremental_steps_per_sec\": %.1f, \"speedup\": %.2f, "
-                  "\"contact_events_per_sec\": %.1f}%s\n",
-                  n, legacy.steps_per_sec, incr.steps_per_sec, speedup,
-                  incr.contact_events_per_sec,
+                  "    {\"nodes\": %d, \"incremental_steps_per_sec\": %.1f, "
+                  "\"contact_events_per_sec\": %.1f, \"contact_events\": %lld}%s\n",
+                  n, run.steps_per_sec, run.contact_events_per_sec,
+                  static_cast<long long>(run.contact_events),
                   i + 1 < node_counts.size() ? "," : "");
     json += buf;
   }
   json += "  ],\n";
 
-  // ---- buffer-pressure workload: isolate the message store ----
+  // ---- buffer-pressure workload: stress the message store ----
   // Small packets (2 KB, telemetry-style) under dense traffic saturate
   // every node's 1 MB buffer at ~512 stored copies, so each contact-up
   // walks a big store (the epidemic-family hot loop) and every admitted
-  // copy evicts another (forced drops). Both worlds run the incremental
-  // contact engine; only the store differs (slab vs seed list+map), so
-  // the speedup is attributable to the Buffer rework alone. Both must
-  // produce identical simulations — cross-checked below.
+  // copy evicts another (forced drops).
   bench::WorkloadTuning pressure;
   pressure.buffer_bytes = 1 << 20;  // 512 x 2 KB
   pressure.traffic_interval_min = 0.5;
@@ -336,64 +284,37 @@ int main(int argc, char** argv) {
                                                 : std::vector<int>{100, 500};
   json += "  \"buffer_pressure\": {\n"
           "    \"workload\": \"1 MB buffers saturated at ~512 x 2 KB packets "
-          "(message every 0.5-1 s), forced drops; incremental contact engine "
-          "on both sides\",\n    \"points\": [\n";
+          "(message every 0.5-1 s), forced drops\",\n    \"points\": [\n";
   for (std::size_t i = 0; i < pressure_nodes.size(); ++i) {
     const int n = pressure_nodes[i];
     std::printf("buffer pressure n=%d ...\n", n);
     std::fflush(stdout);
-    auto list_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/true,
-                                         /*with_traffic=*/true, density, pressure);
-    auto slab_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/false,
-                                         /*with_traffic=*/true, density, pressure);
-    const auto [list_run, slab_run] = bench::timed_ab_run(
-        *list_world, *slab_world, pressure_warmup, steps, trials);
-    const bool same_sim =
-        list_run.contact_events == slab_run.contact_events &&
-        list_world->metrics().created() == slab_world->metrics().created() &&
-        list_world->metrics().delivered() == slab_world->metrics().delivered() &&
-        list_world->metrics().relayed() == slab_world->metrics().relayed() &&
-        list_world->metrics().dropped() == slab_world->metrics().dropped();
-    if (!same_sim) {
-      std::fprintf(stderr,
-                   "FATAL: buffer-pressure mismatch at n=%d — the slab and "
-                   "list stores diverged\n", n);
-      return 1;
-    }
-    const double speedup = slab_run.steps_per_sec / list_run.steps_per_sec;
-    std::printf("n=%-5d list %9.1f steps/s | slab %9.1f steps/s | %.2fx | "
-                "%lld drops\n",
-                n, list_run.steps_per_sec, slab_run.steps_per_sec, speedup,
-                static_cast<long long>(slab_world->metrics().dropped()));
+    auto world = bench::build_world(n, /*with_traffic=*/true, density, pressure);
+    const bench::RunResult run =
+        bench::timed_run(*world, pressure_warmup, steps, trials);
+    std::printf("n=%-5d slab %9.1f steps/s | %lld drops\n", n, run.steps_per_sec,
+                static_cast<long long>(world->metrics().dropped()));
     std::fflush(stdout);
     char buf[384];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"nodes\": %d, \"list_steps_per_sec\": %.1f, "
-                  "\"slab_steps_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
-                  n, list_run.steps_per_sec, slab_run.steps_per_sec, speedup,
-                  i + 1 < pressure_nodes.size() ? "," : "");
+    std::snprintf(buf, sizeof(buf), "      {\"nodes\": %d, \"slab_steps_per_sec\": %.1f}%s\n",
+                  n, run.steps_per_sec, i + 1 < pressure_nodes.size() ? "," : "");
     json += buf;
   }
 
   // Store churn allocation contract under pressure: the slab must stay
-  // ~0 allocs/step while the seed store pays per insert and per transfer.
+  // ~0 allocs/step.
   const int pressure_alloc_nodes = smoke ? 60 : 100;
   const double slab_pressure_allocs = bench::allocs_per_step(
-      pressure_alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/false,
-      /*with_traffic=*/true, pressure_warmup, steps, density, pressure);
-  const double list_pressure_allocs = bench::allocs_per_step(
-      pressure_alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/true,
-      /*with_traffic=*/true, pressure_warmup, steps, density, pressure);
-  std::printf("buffer-pressure allocs/step (n=%d): slab %.4f, list %.2f\n",
-              pressure_alloc_nodes, slab_pressure_allocs, list_pressure_allocs);
+      pressure_alloc_nodes, /*with_traffic=*/true, pressure_warmup, steps, density,
+      pressure);
+  std::printf("buffer-pressure allocs/step (n=%d): slab %.4f\n", pressure_alloc_nodes,
+              slab_pressure_allocs);
   {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    ],\n    \"allocs_per_step\": {\"nodes\": %d, "
-                  "\"slab\": %.4f, \"list\": %.2f}\n  },\n",
-                  pressure_alloc_nodes, slab_pressure_allocs, list_pressure_allocs);
+                  "\"slab\": %.4f}\n  },\n",
+                  pressure_alloc_nodes, slab_pressure_allocs);
     json += buf;
   }
 
@@ -469,19 +390,13 @@ int main(int argc, char** argv) {
   const int alloc_nodes = smoke ? 200 : 1000;
   const int alloc_warmup = std::max(warmup, smoke ? 500 : 4000);
   const double incr_allocs = bench::allocs_per_step(
-      alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/false,
-      /*with_traffic=*/false, alloc_warmup, steps, density);
-  const double legacy_allocs = bench::allocs_per_step(
-      alloc_nodes, /*legacy_contact=*/true, /*legacy_buffer=*/true,
-      /*with_traffic=*/false, alloc_warmup, steps, density);
-  std::printf("allocs/step after warm-up (n=%d, no traffic): incremental %.4f, "
-              "legacy %.1f\n",
-              alloc_nodes, incr_allocs, legacy_allocs);
+      alloc_nodes, /*with_traffic=*/false, alloc_warmup, steps, density);
+  std::printf("allocs/step after warm-up (n=%d, no traffic): %.4f\n", alloc_nodes,
+              incr_allocs);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "  \"allocs_per_step\": {\"nodes\": %d, \"incremental\": %.4f, "
-                "\"legacy\": %.1f}\n}\n",
-                alloc_nodes, incr_allocs, legacy_allocs);
+                "  \"allocs_per_step\": {\"nodes\": %d, \"incremental\": %.4f}\n}\n",
+                alloc_nodes, incr_allocs);
   json += buf;
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -19,10 +19,8 @@ constexpr std::pair<std::int64_t, std::int64_t> kForward[4] = {
 
 }  // namespace
 
-SpatialGrid::SpatialGrid(double cell_size, bool walk_all_cells)
-    : cell_(cell_size > 0.0 ? cell_size : 1.0),
-      inv_cell_(1.0 / cell_),
-      walk_all_cells_(walk_all_cells) {}
+SpatialGrid::SpatialGrid(double cell_size)
+    : cell_(cell_size > 0.0 ? cell_size : 1.0), inv_cell_(1.0 / cell_) {}
 
 SpatialGrid::CellKey SpatialGrid::make_key(std::int64_t cx, std::int64_t cy) noexcept {
   // Interleave the two 32-bit (wrapped) cell coordinates into one key.
@@ -340,8 +338,7 @@ void SpatialGrid::all_pairs_into(
   // scenario's slab; streaming its dead slots every step would dwarf the
   // handful of live cells).
   const bool walk_all =
-      walk_all_cells_ || (occupied_.size() * 2 >= index_.size() &&
-                          cells_.size() < index_.size() * 2);
+      occupied_.size() * 2 >= index_.size() && cells_.size() < index_.size() * 2;
   const std::size_t n_sweep = walk_all ? cells_.size() : occupied_.size();
   for (std::size_t k = 0; k < n_sweep; ++k) {
     const std::size_t ci = walk_all ? k : occupied_[k];

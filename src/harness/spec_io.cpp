@@ -128,18 +128,6 @@ std::string world_key(ScenarioSpec& spec, const std::string& key,
   if (key == "ttl_sweep_interval") {
     return set_num(w.ttl_sweep_interval, "world.ttl_sweep_interval", value);
   }
-  if (key == "legacy_contact_path") {
-    return set_num(w.legacy_contact_path, "world.legacy_contact_path", value);
-  }
-  if (key == "legacy_buffer_path") {
-    return set_num(w.legacy_buffer_path, "world.legacy_buffer_path", value);
-  }
-  if (key == "legacy_movement_path") {
-    return set_num(w.legacy_movement_path, "world.legacy_movement_path", value);
-  }
-  if (key == "legacy_pair_sweep") {
-    return set_num(w.legacy_pair_sweep, "world.legacy_pair_sweep", value);
-  }
   if (key == "event_kernel") {
     return set_num(w.event_kernel, "world.event_kernel", value);
   }
@@ -394,8 +382,6 @@ std::vector<std::string> spec_key_names(const ScenarioSpec& spec) {
       "map.kind",
       "world.step_dt",       "world.radio_range", "world.bitrate_bps",
       "world.buffer_bytes",  "world.ttl_sweep_interval",
-      "world.legacy_contact_path", "world.legacy_buffer_path",
-      "world.legacy_movement_path", "world.legacy_pair_sweep",
       "world.event_kernel",
       "traffic.interval_min", "traffic.interval_max", "traffic.start",
       "traffic.stop",        "traffic.size_bytes", "traffic.ttl",
@@ -485,12 +471,8 @@ std::string to_config(const ScenarioSpec& spec) {
   out << "world.buffer_bytes = " << util::format_value(w.buffer_bytes) << "\n";
   out << "world.ttl_sweep_interval = " << util::format_value(w.ttl_sweep_interval)
       << "\n";
-  // Bench-baseline switches: emitted only when engaged, so ordinary configs
-  // stay free of A/B plumbing.
-  if (w.legacy_contact_path) out << "world.legacy_contact_path = true\n";
-  if (w.legacy_buffer_path) out << "world.legacy_buffer_path = true\n";
-  if (w.legacy_movement_path) out << "world.legacy_movement_path = true\n";
-  if (w.legacy_pair_sweep) out << "world.legacy_pair_sweep = true\n";
+  // Emitted only when engaged, so configs that leave the kernel off keep
+  // their canonical form.
   if (w.event_kernel) out << "world.event_kernel = true\n";
 
   const sim::TrafficParams& t = spec.traffic;

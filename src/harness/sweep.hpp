@@ -18,10 +18,7 @@
 // serially in task order after the loop, so sweep aggregates are
 // BIT-IDENTICAL for any thread count, any scheduling, and fresh- vs
 // reused-world execution. The progress callback fires outside any merge
-// path, serialized only against itself. SweepOptions::exec = kLegacy keeps
-// the pre-PR3 engine (throwaway pool, one heap task + future per run,
-// fresh World per run, mutex-serialized merge + progress) in the same
-// binary as the bench baseline.
+// path, serialized only against itself.
 // Multi-process fabric (PR 8): shard_index/shard_count restrict one
 // engine invocation to a deterministic slice of the point cross-product
 // (point index modulo shard_count), each shard journaling into its own
@@ -304,12 +301,6 @@ struct SweepOptions {
   int seeds = 2;
   std::uint64_t seed_base = 1000;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// kReused (default): the spec-sweep engine (persistent pool, chunked
-  /// dispatch, reusable per-worker Worlds, deterministic task-order fold).
-  /// kLegacy: the pre-PR3 execution path, kept for A/B benchmarking
-  /// (bench_sweep).
-  enum class Exec { kReused, kLegacy };
-  Exec exec = Exec::kReused;
   /// Applied to every point before protocol/node count are overlaid.
   BusScenarioParams base;
   /// Optional progress callback (point label) invoked as runs finish.

@@ -116,9 +116,6 @@ int MovementEngine::add(MovementModelPtr model) {
   if (const auto* bus = dynamic_cast<const BusMovement*>(model.get())) {
     return add_bus(bus->route(), bus->params());
   }
-  if (const auto* st = dynamic_cast<const StationaryNode*>(model.get())) {
-    return add_stationary(st->spec());
-  }
   if (const auto* pin = dynamic_cast<const Stationary*>(model.get())) {
     StationaryNodeSpec spec;
     spec.pos = pin->position();
@@ -180,7 +177,7 @@ void MovementEngine::init_waypoint(std::size_t lane, int node, double start_time
   util::Pcg32& rng = wp_rng_[lane];
   // Initial position: RandomWaypoint draws from the world rectangle,
   // CommunityMovement from the home rectangle — then both pick the first
-  // waypoint. Draw order matches the legacy init() exactly.
+  // waypoint. Draw order matches the model classes' init() exactly.
   double u[6];
   rng.fill_doubles(u, 2u + sp.arrival_draws - 1u);  // pos + pick (no pause draw)
   const geo::Vec2 init_lo = sp.community ? sp.home_min : sp.world_min;
@@ -231,8 +228,7 @@ void MovementEngine::init_node(int node, util::Pcg32 rng, double start_time) {
       init_bus(lane, node, start_time);
       break;
     case Kind::kStationary: {
-      // Same draw block as StationaryNode::init (legacy path): two
-      // uniforms (x, y) for per-seed placement, no draws for fixed.
+      // Two uniforms (x, y) for per-seed placement, no draws for fixed.
       const StationaryNodeSpec& sp = st_spec_[lane];
       if (sp.uniform) {
         double u[2];
@@ -263,8 +259,8 @@ void MovementEngine::step_waypoints(double now, double dt) {
     const WpSpec& sp = wp_spec_[k];
     // A single dt may span pause end + several waypoint arrivals; consume
     // it piecewise so trajectories are independent of the step size.
-    // (Exact arithmetic of the legacy RandomWaypoint/CommunityMovement
-    // step loop — see header equivalence contract.)
+    // (Exact arithmetic of the RandomWaypoint/CommunityMovement step
+    // loop — see header equivalence contract.)
     while (remaining > 1e-12) {
       if (t < pause_until) {
         const double wait = std::min(remaining, pause_until - t);
@@ -280,7 +276,7 @@ void MovementEngine::step_waypoints(double now, double dt) {
         t += travel_time;
         remaining -= travel_time;
         // Waypoint event: one batched block of draws — pause, (bernoulli,)
-        // target.x, target.y, speed — in the legacy order.
+        // target.x, target.y, speed — in the model classes' order.
         double u[5];
         wp_rng_[k].fill_doubles(u, sp.arrival_draws);
         pause_until = t + map_uniform(sp.pause_min, sp.pause_max, u[0]);
@@ -337,7 +333,7 @@ void MovementEngine::step_buses(double now, double dt) {
     }
     // The cursor grows monotonically; point_at wraps modulo the route
     // length. Rebase both cursor and stop together only if a run ever gets
-    // astronomically long (same guard as the legacy model).
+    // astronomically long (same guard as BusMovement).
     const double len = route->total_length();
     if (cursor > 1e12) {
       const double base = std::floor(cursor / len) * len;

@@ -17,11 +17,11 @@
 // virtual step().
 //
 // Equivalence contract: for the three lane models the kernel performs the
-// exact arithmetic of the legacy classes (mobility/random_waypoint.cpp,
+// exact arithmetic of the per-object model classes RandomWaypoint,
+// CommunityMovement and BusMovement (mobility/random_waypoint.cpp,
 // community_movement.cpp, bus_movement.cpp) in the exact stream order, so
-// trajectories are bit-identical to the per-object path
-// (sim_movement_engine_test enforces this; WorldConfig::legacy_movement_path
-// keeps the per-object path alive in the same binary for A/B benchmarks).
+// trajectories are bit-identical to stepping those objects
+// (sim_movement_engine_test enforces this).
 //
 // clear() drops all nodes but retains every lane's capacity, so a World
 // rebuilt across sweep seeds re-registers its nodes without allocating.
@@ -67,13 +67,13 @@ class MovementEngine {
   /// Fallback lane: keeps the model object, steps it virtually.
   int add_custom(MovementModelPtr model);
   /// Routes known model types (RandomWaypoint / CommunityMovement /
-  /// BusMovement / StationaryNode / Stationary) into their lanes,
+  /// BusMovement / Stationary) into their lanes,
   /// extracting their parameters and discarding the object; anything else
   /// goes to the custom lane.
   int add(MovementModelPtr model);
 
   /// (Re)initializes node `node`'s trajectory from its movement stream at
-  /// `start_time` — same draws, same order as the legacy model's init().
+  /// `start_time` — same draws, same order as the model class's init().
   /// Called once after add_*() and again on every World reseed.
   void init_node(int node, util::Pcg32 rng, double start_time);
 
@@ -146,8 +146,8 @@ class MovementEngine {
 
   /// One waypoint pick decoded from pre-drawn uniforms starting at u[j]:
   /// optional home-rectangle Bernoulli gate, then target.x, target.y,
-  /// speed — the single definition of the legacy pick_waypoint() draw
-  /// block, shared by lane init and arrival events so the RNG-stream
+  /// speed — the single definition of the RandomWaypoint /
+  /// CommunityMovement pick_waypoint() draw block, shared by lane init and arrival events so the RNG-stream
   /// contract cannot fork between them.
   struct WpPick {
     geo::Vec2 target;

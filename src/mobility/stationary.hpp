@@ -11,7 +11,6 @@
 #include <string>
 
 #include "geo/vec2.hpp"
-#include "mobility/movement_model.hpp"
 
 namespace dtn::mobility {
 
@@ -39,34 +38,6 @@ struct StationaryNodeSpec {
   bool uniform = false;
   geo::Vec2 area_min{0.0, 0.0};
   geo::Vec2 area_max{0.0, 0.0};
-};
-
-/// Legacy-path model form (WorldConfig::legacy_movement_path A/B): same
-/// draw block as the engine's stationary lane — two uniforms (x, y) when
-/// placement is per-seed uniform, no draws otherwise — so trajectories are
-/// bit-identical between the lane and the per-object path.
-class StationaryNode final : public MovementModel {
- public:
-  explicit StationaryNode(const StationaryNodeSpec& spec) : spec_(spec), pos_(spec.pos) {}
-
-  void init(util::Pcg32 rng, double /*start_time*/) override {
-    if (spec_.uniform) {
-      const double x = rng.uniform(spec_.area_min.x, spec_.area_max.x);
-      const double y = rng.uniform(spec_.area_min.y, spec_.area_max.y);
-      pos_ = {x, y};
-    } else {
-      pos_ = spec_.pos;
-    }
-  }
-  void step(double /*now*/, double /*dt*/) override {}
-  [[nodiscard]] geo::Vec2 position() const override { return pos_; }
-
-  /// Placement block (MovementEngine extracts it into the stationary lane).
-  [[nodiscard]] const StationaryNodeSpec& spec() const noexcept { return spec_; }
-
- private:
-  StationaryNodeSpec spec_;
-  geo::Vec2 pos_;
 };
 
 }  // namespace dtn::mobility

@@ -41,15 +41,11 @@ ThreadPool& ThreadPool::shared() {
 void ThreadPool::worker_loop() {
   std::uint64_t seen_gen = 0;
   for (;;) {
-    std::function<void()> task;
     Job* job = nullptr;
     std::size_t slot = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return stop_ || !queue_.empty() ||
-               (job_ != nullptr && job_gen_ != seen_gen);
-      });
+      cv_.wait(lock, [&] { return stop_ || (job_ != nullptr && job_gen_ != seen_gen); });
       if (job_ != nullptr && job_gen_ != seen_gen) {
         // Join the chunked job at most once per generation; late wakers
         // beyond the entrant cap just remember the generation and re-wait.
@@ -59,25 +55,19 @@ void ThreadPool::worker_loop() {
           slot = job->entered++;
           job->inside.fetch_add(1, std::memory_order_relaxed);
         }
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
       } else if (stop_) {
         return;
       }
     }
-    if (job != nullptr) {
-      t_inside_pool = this;
-      run_chunks(*job, slot);
-      t_inside_pool = nullptr;
-      if (job->inside.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Acquire the mutex before notifying so the caller cannot check the
-        // predicate, miss this decrement, and then sleep past the notify.
-        { const std::lock_guard<std::mutex> lock(mutex_); }
-        done_cv_.notify_all();
-      }
-    } else if (task) {
-      task();
+    if (job == nullptr) continue;
+    t_inside_pool = this;
+    run_chunks(*job, slot);
+    t_inside_pool = nullptr;
+    if (job->inside.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Acquire the mutex before notifying so the caller cannot check the
+      // predicate, miss this decrement, and then sleep past the notify.
+      { const std::lock_guard<std::mutex> lock(mutex_); }
+      done_cv_.notify_all();
     }
   }
 }

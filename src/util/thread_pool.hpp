@@ -3,15 +3,13 @@
 // so the harness-level parallelism is embarrassingly parallel; the pool is
 // the only concurrency primitive in the repository.
 //
-// Two dispatch paths:
-//  - submit(): classic one-task-one-future scheduling (tests, ad-hoc use).
-//  - parallel_for(): chunked atomic-counter dispatch. The caller publishes
-//    ONE job; every participant (the caller plus up to max_workers-1 pool
-//    threads) repeatedly grabs the next index range from an atomic cursor
-//    until the range is exhausted. No per-index std::function, no futures,
-//    no queue traffic — a steady-state dispatch performs zero heap
-//    allocations. The first exception wins, cancels the remaining
-//    unclaimed chunks, and is rethrown on the calling thread.
+// Dispatch is parallel_for(): chunked atomic-counter dispatch. The caller
+// publishes ONE job; every participant (the caller plus up to
+// max_workers-1 pool threads) repeatedly grabs the next index range from
+// an atomic cursor until the range is exhausted. No per-index
+// std::function, no futures, no queue traffic — a steady-state dispatch
+// performs zero heap allocations. The first exception wins, cancels the
+// remaining unclaimed chunks, and is rethrown on the calling thread.
 //
 // The process-wide shared() pool is created once and reused by every
 // static parallel_for call, so campaign code paths (harness::run_sweep,
@@ -23,11 +21,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -44,20 +41,6 @@ class ThreadPool {
   /// The process-wide pool (hardware_concurrency workers, created on first
   /// use, lives for the process). All static parallel_for calls run here.
   static ThreadPool& shared();
-
-  /// Schedules a task; the returned future reports its result/exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
@@ -104,9 +87,8 @@ class ThreadPool {
   static void run_chunks(Job& job, std::size_t worker);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
-  std::condition_variable cv_;        ///< workers: queue or job available
+  std::condition_variable cv_;        ///< workers: job available or stop
   std::condition_variable done_cv_;   ///< caller: all participants left the job
   std::mutex dispatch_mutex_;         ///< serializes concurrent parallel_for calls
   Job* job_ = nullptr;                ///< current chunked job (under mutex_)

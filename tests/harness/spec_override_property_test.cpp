@@ -101,7 +101,7 @@ TEST(SpecOverrideProperty, EveryVocabularyKeyRoundTripsThroughOverride) {
       const auto it = serialized.find(key);
       if (it == serialized.end()) {
         // Write-only aliases (scenario.nodes) and engaged-only keys
-        // (group.<g>.protocol when empty, world.legacy_* when false) are
+        // (group.<g>.protocol when empty, world.event_kernel when false) are
         // absent from the canonical form; overriding them must still work.
         ScenarioSpec spec = base;
         if (key == "scenario.nodes") {
@@ -111,7 +111,7 @@ TEST(SpecOverrideProperty, EveryVocabularyKeyRoundTripsThroughOverride) {
           }
           continue;
         }
-        std::string value = "true";  // world.legacy_* bench switches
+        std::string value = "true";  // world.event_kernel
         if (key.size() > 9 && key.substr(key.size() - 9) == ".protocol") {
           value = "DirectDelivery";
         }

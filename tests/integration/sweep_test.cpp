@@ -130,29 +130,6 @@ TEST(Sweep, AggregatesBitIdenticalAcrossThreadCounts) {
   expect_identical_results(one, hw);
 }
 
-TEST(Sweep, LegacyEngineProducesBitIdenticalAggregates) {
-  // Fresh-world legacy execution vs reused-world chunked execution: the
-  // world-reuse path must be observably inert. Single-threaded so the
-  // legacy mutex merge runs in task order too (its accumulation order is
-  // completion order, which multi-threaded scheduling would perturb).
-  SweepOptions opt = tiny_sweep();
-  opt.threads = 1;
-  opt.exec = SweepOptions::Exec::kLegacy;
-  const auto legacy = run_sweep(opt);
-  opt.exec = SweepOptions::Exec::kReused;
-  const auto reused = run_sweep(opt);
-  expect_identical_results(legacy, reused);
-}
-
-TEST(Sweep, ProgressFiresPerRunOnLegacyEngineToo) {
-  SweepOptions opt = tiny_sweep();
-  opt.exec = SweepOptions::Exec::kLegacy;
-  std::atomic<int> calls{0};
-  opt.progress = [&calls](const std::string&) { calls.fetch_add(1); };
-  run_sweep(opt);
-  EXPECT_EQ(calls.load(), 2 * 2 * 2);
-}
-
 TEST(Sweep, ScenarioRunnerReuseMatchesFreshWorlds) {
   // One runner executing a protocol/node-count/seed mix back to back must
   // reproduce fresh-world runs bit for bit (World::reset contract at the

@@ -1,15 +1,10 @@
 // Differential proof that the slab Buffer is observably identical to the
-// seed's list+map store (same pattern as contact_layer_test's legacy vs
-// incremental check):
-//  1. a reference implementation — a verbatim re-creation of the seed's
-//     std::list + unordered_map Buffer — lives inside this test and is
-//     driven through the exact same randomized insert / erase / evict /
-//     expire / mutate sequences as the production slab Buffer and as the
-//     in-binary legacy_store mode, with the full observable state compared
-//     after every operation;
-//  2. full bus-scenario runs across all 12 protocols x 2 seeds, with
-//     WorldConfig::legacy_buffer_path off vs on, must produce bit-identical
-//     metrics — the store swap may not perturb a single simulation outcome.
+// seed's list+map store: a reference implementation — a verbatim
+// re-creation of the seed's std::list + unordered_map Buffer — lives inside
+// this test and is driven through the exact same randomized insert / erase
+// / evict / expire / mutate sequences as the production slab Buffer, with
+// the full observable state compared after every operation. Whole-world
+// runs are pinned by sim_world_golden_test.
 #include <algorithm>
 #include <cstdint>
 #include <list>
@@ -19,8 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_support.hpp"
-#include "harness/scenario.hpp"
-#include "routing/factory.hpp"
 #include "sim/buffer.hpp"
 #include "util/rng.hpp"
 
@@ -115,136 +108,74 @@ StoredMessage random_stored(util::Pcg32& rng, MsgId id, double now) {
 }
 
 TEST(BufferEquivalence, RandomChurnMatchesReferenceStore) {
-  for (const bool legacy_mode : {false, true}) {
-    util::Pcg32 rng(2026, legacy_mode ? 31 : 30);
-    constexpr std::int64_t kCapacity = 256 * 1024;
-    Buffer buf(kCapacity, legacy_mode);
-    ReferenceBuffer ref(kCapacity);
-    std::vector<MsgId> live;  // ids currently stored, insertion order
-    MsgId next_id = 0;
-    double now = 0.0;
-    for (int op = 0; op < 40000; ++op) {
-      now += rng.next_double() * 2.0;
-      switch (rng.next_u32() % 6) {
-        case 0:
-        case 1: {  // insert, evicting oldest-first like World::make_room
-          StoredMessage sm = random_stored(rng, next_id++, now);
-          while (!buf.fits(sm.msg) && !live.empty()) {
-            const MsgId victim = buf.oldest();
-            ASSERT_TRUE(buf.erase(victim));
-            ASSERT_TRUE(ref.erase(victim));
-            live.erase(std::find(live.begin(), live.end(), victim));
-          }
-          if (buf.fits(sm.msg)) {
-            live.push_back(sm.msg.id);
-            ref.insert(sm);
-            buf.insert(std::move(sm));
-          }
-          break;
+  util::Pcg32 rng(2026, 30);
+  constexpr std::int64_t kCapacity = 256 * 1024;
+  Buffer buf(kCapacity);
+  ReferenceBuffer ref(kCapacity);
+  std::vector<MsgId> live;  // ids currently stored, insertion order
+  MsgId next_id = 0;
+  double now = 0.0;
+  for (int op = 0; op < 40000; ++op) {
+    now += rng.next_double() * 2.0;
+    switch (rng.next_u32() % 6) {
+      case 0:
+      case 1: {  // insert, evicting oldest-first like World::make_room
+        StoredMessage sm = random_stored(rng, next_id++, now);
+        while (!buf.fits(sm.msg) && !live.empty()) {
+          const MsgId victim = buf.oldest();
+          ASSERT_TRUE(buf.erase(victim));
+          ASSERT_TRUE(ref.erase(victim));
+          live.erase(std::find(live.begin(), live.end(), victim));
         }
-        case 2: {  // erase a random live id
-          if (live.empty()) break;
-          const std::size_t pick =
-              static_cast<std::size_t>(rng.next_u32()) % live.size();
-          const MsgId id = live[pick];
+        if (buf.fits(sm.msg)) {
+          live.push_back(sm.msg.id);
+          ref.insert(sm);
+          buf.insert(std::move(sm));
+        }
+        break;
+      }
+      case 2: {  // erase a random live id
+        if (live.empty()) break;
+        const std::size_t pick =
+            static_cast<std::size_t>(rng.next_u32()) % live.size();
+        const MsgId id = live[pick];
+        ASSERT_TRUE(buf.erase(id));
+        ASSERT_TRUE(ref.erase(id));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        break;
+      }
+      case 3: {  // erase an id that was never stored / already gone
+        const MsgId id = next_id + static_cast<MsgId>(rng.next_u32() % 100);
+        ASSERT_EQ(buf.erase(id + 1000000), ref.erase(id + 1000000));
+        break;
+      }
+      case 4: {  // expiry sweep, exactly like World::sweep_expired
+        std::vector<MsgId> expired;
+        buf.expired_into(now, expired);
+        for (const MsgId id : expired) {
           ASSERT_TRUE(buf.erase(id));
           ASSERT_TRUE(ref.erase(id));
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-          break;
+          live.erase(std::find(live.begin(), live.end(), id));
         }
-        case 3: {  // erase an id that was never stored / already gone
-          const MsgId id = next_id + static_cast<MsgId>(rng.next_u32() % 100);
-          ASSERT_EQ(buf.erase(id + 1000000), ref.erase(id + 1000000));
-          break;
-        }
-        case 4: {  // expiry sweep, exactly like World::sweep_expired
-          std::vector<MsgId> expired;
-          buf.expired_into(now, expired);
-          for (const MsgId id : expired) {
-            ASSERT_TRUE(buf.erase(id));
-            ASSERT_TRUE(ref.erase(id));
-            live.erase(std::find(live.begin(), live.end(), id));
-          }
-          break;
-        }
-        case 5: {  // in-place replica update through find()
-          if (live.empty()) break;
-          const MsgId id = live[static_cast<std::size_t>(rng.next_u32()) % live.size()];
-          const int delta = static_cast<int>(rng.next_u32() % 5);
-          buf.find(id)->replicas += delta;
-          ref.find(id)->replicas += delta;
-          break;
-        }
+        break;
       }
-      if ((op & 63) == 0 || op > 39900) {
-        expect_equivalent(buf, ref, now);
-        if (::testing::Test::HasFatalFailure()) {
-          FAIL() << "diverged at op " << op << " (legacy_mode=" << legacy_mode << ")";
-        }
+      case 5: {  // in-place replica update through find()
+        if (live.empty()) break;
+        const MsgId id = live[static_cast<std::size_t>(rng.next_u32()) % live.size()];
+        const int delta = static_cast<int>(rng.next_u32() % 5);
+        buf.find(id)->replicas += delta;
+        ref.find(id)->replicas += delta;
+        break;
       }
     }
-    expect_equivalent(buf, ref, now);
-  }
-}
-
-TEST(BufferEquivalence, WorldRunsBitIdenticalAcrossAllProtocols) {
-  // The store swap must not change a single metric of a full simulation:
-  // same traffic, same contacts, same drops, same deliveries, for every
-  // protocol's buffer-usage pattern (MaxProp's ranked drop victims, spray
-  // in-place replica updates, CR/EER/MEED scans, ...). A small buffer
-  // forces the eviction path; two seeds vary map, mobility, and traffic.
-  std::int64_t total_dropped = 0;
-  std::int64_t total_expired = 0;
-  for (const std::string& proto : routing::known_protocols()) {
-    for (const std::uint64_t seed : {3u, 11u}) {
-      harness::BusScenarioParams p;
-      p.node_count = 14;
-      p.duration_s = 600.0;
-      p.seed = seed;
-      p.map.rows = 5;
-      p.map.cols = 6;
-      p.map.districts = 2;
-      p.map.routes_per_district = 2;
-      p.protocol.name = proto;
-      p.protocol.copies = 6;
-      p.traffic.interval_min = 6.0;  // dense traffic against tiny buffers
-      p.traffic.interval_max = 10.0;
-      p.traffic.ttl = 200.0;         // expiry sweeps fire inside the run
-      p.full_ttl_window = false;     // keep generating until the end
-      p.world.buffer_bytes = 100 * 1024;  // 4 messages: constant eviction
-      p.world.legacy_buffer_path = false;
-      const auto slab = harness::run_bus_scenario(p);
-      p.world.legacy_buffer_path = true;
-      const auto legacy = harness::run_bus_scenario(p);
-      // Anti-vacuity: the workload must actually exercise the store.
-      ASSERT_GT(slab.metrics.created(), 0) << proto << " seed " << seed;
-      total_dropped += slab.metrics.dropped();
-      total_expired += slab.metrics.expired();
-      ASSERT_EQ(slab.metrics.created(), legacy.metrics.created())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.delivered(), legacy.metrics.delivered())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.relayed(), legacy.metrics.relayed())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.dropped(), legacy.metrics.dropped())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.expired(), legacy.metrics.expired())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.transfers_aborted(), legacy.metrics.transfers_aborted())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.metrics.control_bytes(), legacy.metrics.control_bytes())
-          << proto << " seed " << seed;
-      ASSERT_EQ(slab.contact_events, legacy.contact_events) << proto << " seed " << seed;
-      ASSERT_DOUBLE_EQ(slab.metrics.latency_mean(), legacy.metrics.latency_mean())
-          << proto << " seed " << seed;
-      ASSERT_DOUBLE_EQ(slab.metrics.hop_count_mean(), legacy.metrics.hop_count_mean())
-          << proto << " seed " << seed;
+    if ((op & 63) == 0 || op > 39900) {
+      expect_equivalent(buf, ref, now);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "diverged at op " << op;
+      }
     }
   }
-  // Across the suite the eviction and expiry paths must both have fired,
-  // or the differential proved nothing about drop-victim / sweep parity.
-  EXPECT_GT(total_dropped, 0);
-  EXPECT_GT(total_expired, 0);
+  expect_equivalent(buf, ref, now);
 }
 
 }  // namespace

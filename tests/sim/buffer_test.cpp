@@ -20,22 +20,8 @@ StoredMessage stored(MsgId id, std::int64_t kb = 25, double received_at = 0.0,
   return sm;
 }
 
-/// Every API-level test runs against both store implementations: the slab
-/// (production) and the seed's list+map (legacy_store benchmark mode).
-class BufferModes : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] Buffer make(std::int64_t capacity) const {
-    return Buffer(capacity, /*legacy_store=*/GetParam());
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(SlabAndLegacy, BufferModes, ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "legacy" : "slab";
-                         });
-
-TEST_P(BufferModes, InsertFindErase) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, InsertFindErase) {
+  Buffer buf(1 << 20);
   buf.insert(stored(7));
   EXPECT_TRUE(buf.contains(7));
   EXPECT_TRUE(buf.has(7));  // compat alias
@@ -48,8 +34,8 @@ TEST_P(BufferModes, InsertFindErase) {
   EXPECT_EQ(buf.used(), 0);
 }
 
-TEST_P(BufferModes, UsedBytesTracked) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, UsedBytesTracked) {
+  Buffer buf(1 << 20);
   buf.insert(stored(1, 25));
   buf.insert(stored(2, 100));
   EXPECT_EQ(buf.used(), (25 + 100) * 1024);
@@ -58,8 +44,8 @@ TEST_P(BufferModes, UsedBytesTracked) {
   EXPECT_EQ(buf.free_bytes(), (1 << 20) - 100 * 1024);
 }
 
-TEST_P(BufferModes, FitsAndAdmissible) {
-  Buffer buf = make(50 * 1024);
+TEST(BufferTest, FitsAndAdmissible) {
+  Buffer buf(50 * 1024);
   const Message small = make_message(1, 0, 1, 0.0, 1200.0, 25);
   const Message huge = make_message(2, 0, 1, 0.0, 1200.0, 100);
   EXPECT_TRUE(buf.admissible(small));
@@ -69,8 +55,8 @@ TEST_P(BufferModes, FitsAndAdmissible) {
   EXPECT_TRUE(buf.admissible(small));  // would fit an empty buffer
 }
 
-TEST_P(BufferModes, OldestAndNewestFollowInsertionOrder) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, OldestAndNewestFollowInsertionOrder) {
+  Buffer buf(1 << 20);
   EXPECT_EQ(buf.oldest(), Buffer::kInvalidMsg);
   EXPECT_EQ(buf.newest(), Buffer::kInvalidMsg);
   buf.insert(stored(5));
@@ -84,8 +70,8 @@ TEST_P(BufferModes, OldestAndNewestFollowInsertionOrder) {
   EXPECT_EQ(buf.newest(), 6);
 }
 
-TEST_P(BufferModes, IteratesInInsertionOrder) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, IteratesInInsertionOrder) {
+  Buffer buf(1 << 20);
   for (MsgId id = 10; id < 15; ++id) buf.insert(stored(id));
   MsgId expected = 10;
   for (const auto& sm : buf) {
@@ -101,8 +87,8 @@ TEST_P(BufferModes, IteratesInInsertionOrder) {
   EXPECT_EQ(order, (std::vector<MsgId>{10, 11, 13, 14, 20}));
 }
 
-TEST_P(BufferModes, MutableIterationUpdatesInPlace) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, MutableIterationUpdatesInPlace) {
+  Buffer buf(1 << 20);
   buf.insert(stored(1, 25, 0.0, 4));
   buf.insert(stored(2, 25, 0.0, 4));
   for (auto& sm : buf) sm.replicas /= 2;
@@ -110,8 +96,8 @@ TEST_P(BufferModes, MutableIterationUpdatesInPlace) {
   EXPECT_EQ(buf.find(2)->replicas, 2);
 }
 
-TEST_P(BufferModes, FindPointerAllowsInPlaceUpdate) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, FindPointerAllowsInPlaceUpdate) {
+  Buffer buf(1 << 20);
   buf.insert(stored(1, 25, 0.0, 10));
   StoredMessage* sm = buf.find(1);
   ASSERT_NE(sm, nullptr);
@@ -119,8 +105,8 @@ TEST_P(BufferModes, FindPointerAllowsInPlaceUpdate) {
   EXPECT_EQ(buf.find(1)->replicas, 6);
 }
 
-TEST_P(BufferModes, ExpiredInto) {
-  Buffer buf = make(1 << 20);
+TEST(BufferTest, ExpiredInto) {
+  Buffer buf(1 << 20);
   StoredMessage a = stored(1);
   a.msg.created = 0.0;
   a.msg.ttl = 100.0;
@@ -138,8 +124,8 @@ TEST_P(BufferModes, ExpiredInto) {
   EXPECT_EQ(out.size(), 2u);
 }
 
-TEST_P(BufferModes, EmptyState) {
-  Buffer buf = make(1024);
+TEST(BufferTest, EmptyState) {
+  Buffer buf(1024);
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.count(), 0u);
   EXPECT_EQ(buf.find(1), nullptr);

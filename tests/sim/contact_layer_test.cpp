@@ -1,8 +1,7 @@
 // Invariants of the incremental contact-layer engine: the per-node
 // adjacency index must always agree with ground-truth geometry under random
 // link churn, the reusable-scratch SpatialGrid APIs must match their
-// allocating predecessors, and the legacy (full-rescan) and incremental
-// detection paths must produce bit-identical simulations.
+// allocating predecessors.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -11,7 +10,6 @@
 
 #include "../test_support.hpp"
 #include "geo/spatial_grid.hpp"
-#include "harness/scenario.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
@@ -142,37 +140,6 @@ TEST(ContactLayerTest, StaleCellsArePruned) {
     grid.insert(0, {5000.0, 5000.0});
   }
   EXPECT_LE(grid.cell_count(), 4u);
-}
-
-TEST(ContactLayerTest, LegacyAndIncrementalPathsAreBitIdentical) {
-  for (const char* proto : {"Epidemic", "EER"}) {
-    harness::BusScenarioParams p;
-    p.node_count = 16;
-    p.duration_s = 900.0;
-    p.traffic.ttl = 300.0;  // full_ttl_window needs ttl < duration
-    p.seed = 5;
-    p.map.rows = 5;
-    p.map.cols = 6;
-    p.map.districts = 2;
-    p.map.routes_per_district = 2;
-    p.protocol.name = proto;
-    p.protocol.copies = 6;
-    p.world.legacy_contact_path = false;
-    const auto fast = harness::run_bus_scenario(p);
-    p.world.legacy_contact_path = true;
-    const auto legacy = harness::run_bus_scenario(p);
-    EXPECT_EQ(fast.metrics.created(), legacy.metrics.created()) << proto;
-    EXPECT_EQ(fast.metrics.delivered(), legacy.metrics.delivered()) << proto;
-    EXPECT_EQ(fast.metrics.relayed(), legacy.metrics.relayed()) << proto;
-    EXPECT_EQ(fast.metrics.dropped(), legacy.metrics.dropped()) << proto;
-    EXPECT_EQ(fast.metrics.expired(), legacy.metrics.expired()) << proto;
-    EXPECT_EQ(fast.metrics.transfers_aborted(), legacy.metrics.transfers_aborted())
-        << proto;
-    EXPECT_EQ(fast.metrics.control_bytes(), legacy.metrics.control_bytes()) << proto;
-    EXPECT_EQ(fast.contact_events, legacy.contact_events) << proto;
-    EXPECT_DOUBLE_EQ(fast.metrics.latency_mean(), legacy.metrics.latency_mean())
-        << proto;
-  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // traffic, transfer progress, TTL sweep, router ticks) stays quantized to
 // the step_dt grid — so a full community scenario, for EVERY protocol in
 // the repository, must produce bit-identical metrics with the kernel on
-// and off. Fallback paths (bus/custom movement, legacy_* bench modes) must
-// decline the kernel and still match.
+// and off. Fallback paths (bus/custom movement) must decline the kernel and
+// still match.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -218,21 +218,6 @@ TEST(EventKernel, BusWorkloadFallsBackToFixedDt) {
   EXPECT_EQ(fixed.contact_events, declined.contact_events);
   EXPECT_EQ(fixed.metrics.latency_mean(), declined.metrics.latency_mean());
   EXPECT_EQ(fixed.metrics.goodput(), declined.metrics.goodput());
-}
-
-TEST(EventKernel, LegacyBenchPathsDeclineTheKernel) {
-  // legacy_* bench modes replay predecessor algorithms step-by-step; the
-  // kernel must not engage on top of them.
-  CommunityCase c;
-  c.duration_s = 300.0;
-  WorldConfig config;
-  config.seed = c.seed;
-  config.event_kernel = true;
-  config.legacy_movement_path = true;
-  World world(config);
-  build_community(world, c);
-  world.run(c.duration_s);
-  EXPECT_FALSE(world.event_kernel_used());
 }
 
 }  // namespace

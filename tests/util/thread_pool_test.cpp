@@ -12,31 +12,6 @@
 namespace dtn::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
-
 TEST(ThreadPool, ZeroRequestsHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
@@ -124,10 +99,9 @@ TEST(ParallelFor, BackToBackJobsOnSharedPool) {
 
 TEST(ParallelFor, ContentionStressManyTinyTasks) {
   // Tiny per-index work maximizes pressure on the atomic cursor and the
-  // join/leave bookkeeping; concurrent submit() traffic runs alongside.
+  // join/leave bookkeeping.
   ThreadPool& pool = ThreadPool::shared();
   std::atomic<std::uint64_t> sum{0};
-  auto side = pool.submit([] { return 41; });
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::uint64_t> local{0};
     pool.parallel_for(5000, 8, [&](std::size_t, std::size_t i) {
@@ -136,7 +110,6 @@ TEST(ParallelFor, ContentionStressManyTinyTasks) {
     ASSERT_EQ(local.load(), 5000ull * 4999ull / 2ull) << "round " << round;
     sum.fetch_add(local.load());
   }
-  EXPECT_EQ(side.get(), 41);
   EXPECT_EQ(sum.load(), 20ull * (5000ull * 4999ull / 2ull));
 }
 
