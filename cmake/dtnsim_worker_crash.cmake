@@ -127,3 +127,41 @@ if(NOT clean STREQUAL degraded)
                       "--- resumed ---\n${degraded}")
 endif()
 message(STATUS "worker-crash recovery and degrade-then-resume equivalence hold")
+
+# 5. A shard journal of another campaign refuses a fleet --resume before
+#    anything launches, exactly like a single-process --resume: exit 1, the
+#    resume wording naming the journal, no worker spawned (no sibling shard
+#    journal appears), and the foreign journal left byte-for-byte intact.
+set(FOREIGN_DIR ${SCRATCH}/foreign.json.journal.shards)
+file(MAKE_DIRECTORY ${FOREIGN_DIR})
+execute_process(COMMAND ${DTNSIM} ${SWEEP_ARGS} --seed-base 99 --shard 0/3
+                        --journal ${FOREIGN_DIR}/shard-0.journal
+                WORKING_DIRECTORY ${SCRATCH}
+                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rv STREQUAL "0")
+  message(FATAL_ERROR "could not seed the foreign shard journal (exit ${rv}):\n${err}")
+endif()
+file(SHA256 ${FOREIGN_DIR}/shard-0.journal foreign_before)
+execute_process(COMMAND ${DTNSIM} ${SWEEP_ARGS} --out foreign.json --workers 3
+                        --resume
+                WORKING_DIRECTORY ${SCRATCH}
+                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rv STREQUAL "1")
+  message(FATAL_ERROR "fleet --resume over a foreign shard journal exited ${rv}, "
+                      "expected 1:\n${err}")
+endif()
+if(NOT err MATCHES "shard journal '[^']*shard-0\\.journal' was written by a different campaign.*delete it or rerun without resume")
+  message(FATAL_ERROR "foreign shard journal was not refused with the resume "
+                      "wording:\n${err}")
+endif()
+if(EXISTS ${FOREIGN_DIR}/shard-1.journal OR EXISTS ${FOREIGN_DIR}/shard-2.journal)
+  message(FATAL_ERROR "workers were launched despite the foreign shard journal")
+endif()
+if(NOT EXISTS ${FOREIGN_DIR}/shard-0.journal)
+  message(FATAL_ERROR "the refused resume deleted the foreign shard journal")
+endif()
+file(SHA256 ${FOREIGN_DIR}/shard-0.journal foreign_after)
+if(NOT foreign_before STREQUAL foreign_after)
+  message(FATAL_ERROR "the refused resume modified the foreign shard journal")
+endif()
+message(STATUS "fleet --resume refuses a foreign shard journal untouched")

@@ -18,12 +18,6 @@ namespace {
 constexpr const char kMagic[] = "%DTNJ1 ";
 constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 
-std::string crc_hex(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
-
 /// Parses one framed record starting at `at` in `data`. On success fills
 /// `payload`, advances `at` past the record, and returns true. Returns
 /// false on truncation, bad framing, or checksum mismatch (`at` is left at
@@ -49,19 +43,10 @@ bool parse_record(const std::string& data, std::size_t& at, std::string& payload
   if (digits == 0 || p >= data.size() || data[p] != ' ') return false;
   ++p;
   // <crc32-hex> — exactly 8 lowercase hex digits.
-  if (data.size() - p < 8) return false;
   std::uint32_t want_crc = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const char c = data[p + i];
-    std::uint32_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    want_crc = (want_crc << 4) | nibble;
+  if (data.size() - p < 8 ||
+      !util::parse_crc32_hex(std::string_view(data).substr(p, 8), &want_crc)) {
+    return false;
   }
   p += 8;
   if (p >= data.size() || data[p] != '\n') return false;
@@ -82,7 +67,7 @@ std::string frame_record(const std::string& payload) {
   std::string out = kMagic;
   out += std::to_string(payload.size());
   out += ' ';
-  out += crc_hex(util::crc32(payload));
+  out += util::crc32_hex(util::crc32(payload));
   out += '\n';
   out += payload;
   out += '\n';
@@ -150,24 +135,25 @@ void JournalWriter::close() {
   }
 }
 
+bool read_file_bytes(const std::string& path, std::string& out) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  char buf[1 << 16];
+  out.clear();
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) out.append(buf, got);
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  if (!ok) errno = EIO;
+  return ok;
+}
+
 JournalReadResult read_journal(const std::string& path) {
   JournalReadResult result;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  std::string data;
+  if (!read_file_bytes(path, data)) {
     result.missing = errno == ENOENT;
     result.io_error = !result.missing;
-    return result;
-  }
-  std::string data;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    data.append(buf, got);
-  }
-  const bool read_failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_failed) {
-    result.io_error = true;
     return result;
   }
 

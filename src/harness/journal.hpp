@@ -104,6 +104,10 @@ struct JournalReadResult {
 /// campaign that never started is just starting it.
 JournalReadResult read_journal(const std::string& path);
 
+/// Reads a whole file (binary) into `out`. False on any I/O problem, with
+/// errno telling a missing file (ENOENT) from another failure.
+bool read_file_bytes(const std::string& path, std::string& out);
+
 /// Frames one record as written by JournalWriter (exposed for tests that
 /// build journals by hand).
 std::string frame_record(const std::string& payload);

@@ -1,79 +1,15 @@
 #include "harness/remote.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "harness/spec_io.hpp"
 #include "util/checksum.hpp"
+#include "util/flags.hpp"
 #include "util/value_parse.hpp"
 
 namespace dtn::harness {
 
 namespace {
-
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_hex_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-std::string crc_hex(std::uint32_t crc) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return std::string(buf);
-}
-
-bool parse_crc_hex(const std::string& text, std::uint32_t* out) {
-  if (text.size() != 8) return false;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    std::uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t at = 0;
-  while (at < text.size()) {
-    std::size_t nl = text.find('\n', at);
-    if (nl == std::string::npos) nl = text.size();
-    lines.push_back(text.substr(at, nl - at));
-    at = nl + 1;
-  }
-  return lines;
-}
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (at < line.size()) {
-    std::size_t sp = line.find(' ', at);
-    if (sp == std::string::npos) sp = line.size();
-    if (sp > at) fields.push_back(line.substr(at, sp - at));
-    at = sp + 1;
-  }
-  return fields;
-}
 
 bool parse_bool_field(const std::string& value, bool* out) {
   if (value == "0") {
@@ -92,13 +28,13 @@ std::string serialize_sweep_hello(const std::string& fingerprint) {
   std::string out = "hello ";
   out += kServeProtocolVersion;
   out += "\nfingerprint " + std::to_string(fingerprint.size()) + " " +
-         crc_hex(util::crc32(fingerprint)) + "\n";
+         util::crc32_hex(util::crc32(fingerprint)) + "\n";
   return out;
 }
 
 bool parse_sweep_hello(const std::string& payload, std::uint64_t* fp_len,
                        std::uint32_t* fp_crc, std::string* error) {
-  const std::vector<std::string> lines = split_lines(payload);
+  const std::vector<std::string> lines = util::split_lines(payload);
   if (lines.size() < 2 || lines[0] != std::string("hello ") + kServeProtocolVersion) {
     if (error) {
       *error = lines.empty() ? "empty HELLO payload"
@@ -107,10 +43,10 @@ bool parse_sweep_hello(const std::string& payload, std::uint64_t* fp_len,
     }
     return false;
   }
-  const std::vector<std::string> fields = split_fields(lines[1]);
+  const std::vector<std::string> fields = util::split_fields(lines[1]);
   if (fields.size() != 3 || fields[0] != "fingerprint" ||
       !util::parse_value(fields[1], *fp_len) ||
-      !parse_crc_hex(fields[2], fp_crc)) {
+      !util::parse_crc32_hex(fields[2], fp_crc)) {
     if (error) *error = "malformed HELLO fingerprint line";
     return false;
   }
@@ -128,7 +64,7 @@ std::string serialize_sweep_assignment(const SpecSweepOptions& options) {
          " isolate=" + (options.isolate_failures ? "1" : "0") +
          " retries=" + std::to_string(options.retries) +
          " sync_every=" + std::to_string(options.sync_every) +
-         " point_timeout=" + hex_double(options.point_timeout_s) + "\n";
+         " point_timeout=" + util::hex_double(options.point_timeout_s) + "\n";
   for (const auto& axis : options.axes) {
     out += "axis " + axis.key + " =";
     for (const auto& value : axis.values) {
@@ -145,7 +81,7 @@ std::string serialize_sweep_assignment(const SpecSweepOptions& options) {
 bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
                             std::string* error) {
   *out = SpecSweepOptions{};
-  const std::vector<std::string> lines = split_lines(payload);
+  const std::vector<std::string> lines = util::split_lines(payload);
   if (lines.empty() || lines[0] != std::string("assign ") + kServeProtocolVersion) {
     if (error) {
       *error = lines.empty() ? "empty ASSIGN payload"
@@ -158,7 +94,7 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
     if (error) *error = "ASSIGN missing the campaign parameter line";
     return false;
   }
-  for (const std::string& field : split_fields(lines[1])) {
+  for (const std::string& field : util::split_fields(lines[1])) {
     const std::size_t eq = field.find('=');
     if (eq == std::string::npos) {
       if (error) *error = "malformed ASSIGN field '" + field + "'";
@@ -194,7 +130,7 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
       ok = util::parse_value(value, num) && num >= 0;
       out->sync_every = static_cast<int>(num);
     } else if (key == "point_timeout") {
-      ok = parse_hex_double(value, &out->point_timeout_s);
+      ok = util::parse_hex_double(value, out->point_timeout_s);
     } else {
       ok = false;  // strict for /1: unknown fields are foreign
     }
@@ -252,7 +188,7 @@ std::string serialize_sweep_progress(std::uint64_t records, std::uint64_t bytes)
 
 bool parse_sweep_progress(const std::string& payload, std::uint64_t* records,
                           std::uint64_t* bytes) {
-  const std::vector<std::string> fields = split_fields(payload);
+  const std::vector<std::string> fields = util::split_fields(payload);
   return fields.size() == 3 && fields[0] == "progress" &&
          util::parse_value(fields[1], *records) &&
          util::parse_value(fields[2], *bytes);

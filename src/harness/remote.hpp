@@ -1,8 +1,8 @@
 #pragma once
 // Campaign-fabric vocabulary shared by the `dtnsim serve` worker daemon
-// and the multi-host `dtnsim sweep --hosts` driver (tools/dtnsim.cpp):
+// and the shard supervisor of `dtnsim sweep --hosts` (harness/fabric.hpp):
 // the text payloads that ride inside net/wire frames, plus the
-// driver-side shard-journal audit used by a fleet `--resume`.
+// shard-journal audit a fleet `--resume` runs before launching anything.
 //
 // Payloads are line-oriented text in the same spirit as the sweep
 // journal. The protocol version is part of every handshake payload;

@@ -1,7 +1,6 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <condition_variable>
 #include <csignal>
@@ -17,6 +16,7 @@
 #include "harness/journal.hpp"
 #include "harness/spec_io.hpp"
 #include "util/clock.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 #include "util/value_parse.hpp"
 
@@ -75,46 +75,6 @@ void fold_sample(PointResult& point, const SeedSample& s) {
 // journal is the campaign fingerprint (see campaign_fingerprint); resume
 // refuses to replay a journal whose fingerprint differs.
 
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_hex_double(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  out = v;
-  return true;
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t at = 0;
-  while (at < text.size()) {
-    std::size_t nl = text.find('\n', at);
-    if (nl == std::string::npos) nl = text.size();
-    lines.push_back(text.substr(at, nl - at));
-    at = nl + 1;
-  }
-  return lines;
-}
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (at < line.size()) {
-    std::size_t sp = line.find(' ', at);
-    if (sp == std::string::npos) sp = line.size();
-    if (sp > at) fields.push_back(line.substr(at, sp - at));
-    at = sp + 1;
-  }
-  return fields;
-}
-
 constexpr const char kJournalHeaderTag[] = "campaign dtnsim-sweep-journal/1";
 
 /// What makes two campaigns "the same" for resume purposes: the canonical
@@ -149,12 +109,12 @@ std::string point_record_payload(std::size_t idx, const PointExec& exec,
                                  const std::vector<SeedSample>& samples) {
   std::string payload = "point " + std::to_string(idx);
   payload += exec.ok() ? " ok " : " failed ";
-  payload += std::to_string(exec.tries) + " " + hex_double(exec.wall_ms) + "\n";
+  payload += std::to_string(exec.tries) + " " + util::hex_double(exec.wall_ms) + "\n";
   if (exec.ok()) {
     for (const SeedSample& s : samples) {
-      payload += "seed " + hex_double(s.delivery_ratio) + " " + hex_double(s.latency) +
-                 " " + hex_double(s.goodput) + " " + hex_double(s.control_mb) + " " +
-                 hex_double(s.relayed) + " " + hex_double(s.contacts) + "\n";
+      payload += "seed " + util::hex_double(s.delivery_ratio) + " " + util::hex_double(s.latency) +
+                 " " + util::hex_double(s.goodput) + " " + util::hex_double(s.control_mb) + " " +
+                 util::hex_double(s.relayed) + " " + util::hex_double(s.contacts) + "\n";
     }
   } else {
     payload += "error " + sanitize_one_line(exec.error) + "\n";
@@ -173,9 +133,9 @@ struct ParsedPointRecord {
 /// caller then recomputes that point rather than trusting the record.
 bool parse_point_record(const std::string& payload, std::size_t total, int seeds,
                         ParsedPointRecord& out) {
-  const std::vector<std::string> lines = split_lines(payload);
+  const std::vector<std::string> lines = util::split_lines(payload);
   if (lines.empty()) return false;
-  const std::vector<std::string> head = split_fields(lines[0]);
+  const std::vector<std::string> head = util::split_fields(lines[0]);
   if (head.size() != 5 || head[0] != "point") return false;
   std::int64_t idx = -1;
   std::int64_t tries = 0;
@@ -187,7 +147,7 @@ bool parse_point_record(const std::string& payload, std::size_t total, int seeds
   if (!ok && head[2] != "failed") return false;
   if (!util::parse_value(head[3], tries) || tries < 0) return false;
   double wall_ms = 0.0;
-  if (!parse_hex_double(head[4], wall_ms)) return false;
+  if (!util::parse_hex_double(head[4], wall_ms)) return false;
 
   out.idx = static_cast<std::size_t>(idx);
   out.exec.status = ok ? PointExec::Status::kOk : PointExec::Status::kFailed;
@@ -201,13 +161,13 @@ bool parse_point_record(const std::string& payload, std::size_t total, int seeds
     if (lines.size() != 1 + static_cast<std::size_t>(seeds)) return false;
     out.samples.reserve(static_cast<std::size_t>(seeds));
     for (std::size_t l = 1; l < lines.size(); ++l) {
-      const std::vector<std::string> fields = split_fields(lines[l]);
+      const std::vector<std::string> fields = util::split_fields(lines[l]);
       if (fields.size() != 7 || fields[0] != "seed") return false;
       SeedSample s;
       double* const slots[6] = {&s.delivery_ratio, &s.latency,   &s.goodput,
                                 &s.control_mb,     &s.relayed,   &s.contacts};
       for (int f = 0; f < 6; ++f) {
-        if (!parse_hex_double(fields[static_cast<std::size_t>(f) + 1], *slots[f])) {
+        if (!util::parse_hex_double(fields[static_cast<std::size_t>(f) + 1], *slots[f])) {
           return false;
         }
       }
@@ -756,12 +716,12 @@ JournalInspection inspect_sweep_journal(const std::string& path) {
 
   // Campaign fingerprint header: tag line, then
   // "seeds=N seed_base=B points=P", then one "axis ..." line per axis.
-  const std::vector<std::string> head = split_lines(replay.records.front());
+  const std::vector<std::string> head = util::split_lines(replay.records.front());
   if (head.size() < 2 || head[0] != kJournalHeaderTag) return out;
   std::int64_t seeds = -1;
   std::int64_t grid_points = -1;
   std::uint64_t seed_base = 0;
-  for (const std::string& field : split_fields(head[1])) {
+  for (const std::string& field : util::split_fields(head[1])) {
     const std::size_t eq = field.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = field.substr(0, eq);

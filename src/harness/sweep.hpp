@@ -24,9 +24,10 @@
 // (point index modulo shard_count), each shard journaling into its own
 // file; merge_sweep_journals folds any non-overlapping set of shard
 // journals — validated against the shared campaign fingerprint — into
-// final aggregates bit-identical to a single-process run. The `dtnsim
-// sweep --workers N` driver (tools/dtnsim.cpp) builds the
-// spawn/supervise/restart/merge loop on top of these two primitives.
+// final aggregates bit-identical to a single-process run. The shard
+// supervisor behind `dtnsim sweep --workers N` / `--hosts`
+// (harness/fabric.hpp) builds its launch/restart/merge policy on top of
+// these two primitives.
 // Crash safety (PR 6): with SpecSweepOptions::journal_path set,
 // run_spec_sweep streams every COMPLETED grid point (all its seeds
 // finished) as one checksummed record into an append-only journal

@@ -29,31 +29,6 @@ bool token_to_type(const std::string& token, MessageType* out) {
   return false;
 }
 
-std::string crc_hex(std::uint32_t crc) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return std::string(buf);
-}
-
-// Parse a lowercase 8-digit hex CRC; strict like harness/journal.
-bool parse_crc_hex(const std::string& text, std::uint32_t* out) {
-  if (text.size() != 8) return false;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    std::uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  *out = value;
-  return true;
-}
-
 bool parse_decimal_len(const std::string& text, std::size_t* out) {
   if (text.empty() || text.size() > 12) return false;
   std::size_t value = 0;
@@ -80,7 +55,7 @@ std::string encode_frame(MessageType type, const std::string& payload) {
   out += ' ';
   out += std::to_string(payload.size());
   out += ' ';
-  out += crc_hex(dtn::util::crc32(payload));
+  out += dtn::util::crc32_hex(dtn::util::crc32(payload));
   out += '\n';
   out += payload;
   out += '\n';
@@ -145,7 +120,7 @@ FrameDecoder::Result FrameDecoder::next(Message* out) {
     return fail("bad frame length '" + len_token + "'");
   }
   std::uint32_t want_crc = 0;
-  if (!parse_crc_hex(crc_token, &want_crc)) {
+  if (!dtn::util::parse_crc32_hex(crc_token, &want_crc)) {
     return fail("bad frame checksum field '" + crc_token + "'");
   }
   // Need payload + trailing '\n' after the header newline.

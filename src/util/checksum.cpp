@@ -1,6 +1,7 @@
 #include "util/checksum.hpp"
 
 #include <array>
+#include <cstdio>
 
 namespace dtn::util {
 
@@ -32,6 +33,24 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t size
 
 std::uint32_t crc32(std::string_view data) noexcept {
   return crc32_final(crc32_update(crc32_init(), data.data(), data.size()));
+}
+
+std::string crc32_hex(std::uint32_t crc) {
+  char buf[9];
+  std::snprintf(buf, sizeof(buf), "%08x", static_cast<unsigned>(crc));
+  return buf;
+}
+
+bool parse_crc32_hex(std::string_view text, std::uint32_t* out) noexcept {
+  if (text.size() != 8) return false;
+  std::uint32_t value = 0;
+  for (const char c : text) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit && !(c >= 'a' && c <= 'f')) return false;
+    value = (value << 4) | static_cast<std::uint32_t>(digit ? c - '0' : c - 'a' + 10);
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace dtn::util

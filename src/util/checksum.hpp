@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace dtn::util {
@@ -23,5 +24,10 @@ namespace dtn::util {
 /// One-shot CRC-32 of a buffer (crc32("") == 0; crc32("123456789") ==
 /// 0xCBF43926 — the standard check value, pinned by util_checksum_test).
 [[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
+
+/// The 8-digit lowercase hex form every journal record, wire frame and
+/// fingerprint digest carries, and its strict inverse (exactly 8 digits).
+[[nodiscard]] std::string crc32_hex(std::uint32_t crc);
+[[nodiscard]] bool parse_crc32_hex(std::string_view text, std::uint32_t* out) noexcept;
 
 }  // namespace dtn::util

@@ -137,6 +137,30 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t at = 0;
+  while (at < text.size()) {
+    std::size_t nl = text.find('\n', at);
+    if (nl == std::string::npos) nl = text.size();
+    lines.push_back(text.substr(at, nl - at));
+    at = nl + 1;
+  }
+  return lines;
+}
+
+std::vector<std::string> split_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::size_t at = 0;
+  while (at < line.size()) {
+    std::size_t sp = line.find(' ', at);
+    if (sp == std::string::npos) sp = line.size();
+    if (sp > at) fields.push_back(line.substr(at, sp - at));
+    at = sp + 1;
+  }
+  return fields;
+}
+
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;

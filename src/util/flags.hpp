@@ -68,6 +68,11 @@ class Flags {
 /// tokens — the shared parser for --protocols / --axis style flags.
 std::vector<std::string> split_csv(const std::string& csv);
 
+/// Splits text into its lines ('\n'-terminated; no empty trailing line),
+/// and a line into its non-empty space-separated fields.
+std::vector<std::string> split_lines(const std::string& text);
+std::vector<std::string> split_fields(const std::string& line);
+
 /// Reads an environment variable as an integer with fallback (used for
 /// DTN_BENCH_SEEDS / DTN_BENCH_FULL scaling knobs).
 std::int64_t env_int(const char* name, std::int64_t fallback);

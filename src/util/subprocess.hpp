@@ -1,9 +1,7 @@
 // Minimal child-process supervision: fork/exec spawn, non-blocking status
-// polls, SIGKILL, and self-executable resolution — the process-management
-// substrate of the `dtnsim sweep --workers N` campaign fabric
-// (tools/dtnsim.cpp), which spawns one `dtnsim sweep --shard i/N` child
-// per shard and supervises it with a liveness timeout and
-// exponential-backoff restarts.
+// polls, SIGKILL, and self-executable resolution — the substrate of the
+// local shard transport in harness/fabric.hpp (`dtnsim sweep --workers N`
+// runs one `dtnsim sweep --shard i/N` child per shard attempt).
 //
 // Deliberately tiny: no pipes, no ptys, no environment surgery. Children
 // inherit the parent's stderr (worker diagnostics interleave with the
@@ -62,9 +60,6 @@ class Subprocess {
   /// SIGKILL — the supervision path for a worker whose journal stopped
   /// growing (liveness timeout). The caller still polls/waits to reap.
   void kill_hard();
-
-  [[nodiscard]] long pid() const noexcept { return pid_; }
-  [[nodiscard]] bool running() { return poll().running; }
 
  private:
   long pid_ = -1;

@@ -7,6 +7,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <system_error>
 
@@ -98,5 +100,22 @@ inline std::string format_value(std::uint64_t v) {
 inline std::string format_value(int v) { return format_value(static_cast<std::int64_t>(v)); }
 
 inline std::string format_value(bool v) { return v ? "true" : "false"; }
+
+/// C99 hexfloat (%a) text of `v` and its strict inverse: the exact bit
+/// pattern survives, which journal replay and remote assignments rely on.
+inline std::string hex_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+inline bool parse_hex_double(const std::string& text, double& out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return false;
+  out = v;
+  return true;
+}
 
 }  // namespace dtn::util

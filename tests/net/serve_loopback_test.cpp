@@ -11,12 +11,16 @@
 //      kept, and a later `--resume` against restarted daemons closes
 //      exactly the gap — same bytes again;
 //   4. a daemon refuses an ASSIGN whose campaign does not match the HELLO
-//      fingerprint digest (foreign campaign), loudly, with an ERROR frame.
+//      fingerprint digest (foreign campaign), loudly, with an ERROR frame;
+//   5. a lying daemon (DONE without JOURNAL, an unexpected message type, a
+//      CRC-corrupt frame, a heartbeat that never grows) costs the driver
+//      an attempt, never a crash: reassignment, then give-up, exit 1.
 //
 // Compiled only when CMake bakes in DTNSIM_BINARY (the dtnsim tool path).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -265,5 +269,111 @@ TEST_F(ServeLoopbackTest, ForeignFingerprintAssignIsRefused) {
   EXPECT_EQ(msg.type, net::MessageType::kHello);
   a.stop();
 }
+
+enum class Lie { kDoneWithoutJournal, kUnexpectedMessage, kCorruptFrame, kStalledHeartbeat };
+
+/// An in-test daemon on 127.0.0.1:0 that completes every handshake, takes
+/// the ASSIGN, and then lies.
+class LyingDaemon {
+ public:
+  explicit LyingDaemon(Lie lie) : lie_(lie) {
+    std::string error;
+    listener_ = net::Listener::open("127.0.0.1", 0, &error);
+    EXPECT_TRUE(listener_.is_open()) << error;
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~LyingDaemon() {
+    stop_ = true;
+    thread_.join();
+  }
+  LyingDaemon(const LyingDaemon&) = delete;
+  LyingDaemon& operator=(const LyingDaemon&) = delete;
+  int port() const { return listener_.port(); }
+  int assignments() const { return assignments_.load(); }
+
+ private:
+  void serve() {
+    while (!stop_) {
+      net::Stream conn = listener_.accept(100);
+      if (!conn.open()) continue;
+      net::FrameDecoder decoder;
+      net::Message msg;
+      std::string error;
+      if (net::recv_message(conn, decoder, 5000, &msg, &error) !=
+              net::WireRecvStatus::kMessage ||
+          msg.type != net::MessageType::kHello ||
+          !net::send_message(conn, net::MessageType::kHello, msg.payload) ||
+          net::recv_message(conn, decoder, 5000, &msg, &error) !=
+              net::WireRecvStatus::kMessage ||
+          msg.type != net::MessageType::kAssign) {
+        continue;
+      }
+      ++assignments_;
+      tell_lie(conn);
+      // Hold the connection until the driver hangs up.
+      char buf[256];
+      std::size_t got = 0;
+      while (conn.recv_some(buf, sizeof(buf), 5000, &got) == net::RecvStatus::kData) {
+      }
+    }
+  }
+
+  void tell_lie(net::Stream& conn) {
+    switch (lie_) {
+      case Lie::kDoneWithoutJournal:
+        net::send_message(conn, net::MessageType::kDone, "0");
+        break;
+      case Lie::kUnexpectedMessage:
+        net::send_message(conn, net::MessageType::kAssign, "not a daemon's message");
+        break;
+      case Lie::kCorruptFrame: {
+        std::string frame = net::encode_frame(net::MessageType::kProgress,
+                                              harness::serialize_sweep_progress(1, 64));
+        frame[frame.size() - 2] ^= 0x01;  // payload byte: the CRC no longer matches
+        conn.send_all(frame.data(), frame.size());
+        break;
+      }
+      case Lie::kStalledHeartbeat:
+        for (int beat = 0; beat < 100 && !stop_; ++beat) {
+          if (!net::send_message(conn, net::MessageType::kProgress,
+                                 harness::serialize_sweep_progress(1, 64))) {
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        break;
+    }
+  }
+
+  Lie lie_;
+  net::Listener listener_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> assignments_{0};
+  std::thread thread_;  // last: it uses every member above
+};
+
+class HostileDaemonTest : public ::testing::TestWithParam<Lie> {};
+
+TEST_P(HostileDaemonTest, LieCostsAnAttemptThenTheShardDegrades) {
+  const std::string dir = ::testing::TempDir() + "serve_hostile/";
+  std::error_code scrub_error;
+  std::filesystem::remove_all(dir, scrub_error);
+  std::filesystem::create_directories(dir);
+  const std::string out = dir + "lied.json";
+  LyingDaemon daemon(GetParam());
+  EXPECT_EQ(run_driver({"--out", out, "--hosts",
+                        "127.0.0.1:" + std::to_string(daemon.port()),
+                        "--worker-retries", "1", "--worker-timeout", "0.5"}),
+            1);
+  // One assignment, one reassignment after the lie, then give-up.
+  EXPECT_EQ(daemon.assignments(), 2);
+  EXPECT_NE(read_file(out).find("\"status\": \"failed\""), std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(out + ".journal.shards"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lies, HostileDaemonTest,
+                         ::testing::Values(Lie::kDoneWithoutJournal,
+                                           Lie::kUnexpectedMessage, Lie::kCorruptFrame,
+                                           Lie::kStalledHeartbeat));
 
 }  // namespace

@@ -54,5 +54,16 @@ TEST(Checksum, EmbeddedNulBytesParticipate) {
             crc32(std::string_view(without, 2)));
 }
 
+TEST(Checksum, HexFormRoundTripsAndParsesStrictly) {
+  EXPECT_EQ(crc32_hex(0xCBF43926u), "cbf43926");
+  EXPECT_EQ(crc32_hex(0x0000000Au), "0000000a");
+  std::uint32_t value = 0;
+  ASSERT_TRUE(parse_crc32_hex(crc32_hex(0xDEADBEEFu), &value));
+  EXPECT_EQ(value, 0xDEADBEEFu);
+  for (const char* bad : {"", "cbf4392", "cbf439260", "CBF43926", "cbf4392g", " bf43926"}) {
+    EXPECT_FALSE(parse_crc32_hex(bad, &value)) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace dtn::util

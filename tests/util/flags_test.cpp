@@ -99,6 +99,15 @@ TEST(SplitCsv, TokensAndEdgeCases) {
   EXPECT_EQ(split_csv("solo").size(), 1u);
 }
 
+TEST(SplitLinesAndFields, TokensAndEdgeCases) {
+  EXPECT_EQ(split_lines("a b\n\nc\n"), (std::vector<std::string>{"a b", "", "c"}));
+  EXPECT_EQ(split_lines("tail"), std::vector<std::string>{"tail"});
+  EXPECT_TRUE(split_lines("").empty());
+  EXPECT_EQ(split_fields("  point 3  ok "),
+            (std::vector<std::string>{"point", "3", "ok"}));
+  EXPECT_TRUE(split_fields("   ").empty());
+}
+
 TEST(EnvInt, ReadsAndFallsBack) {
   ::setenv("DTN_TEST_ENV_INT", "42", 1);
   EXPECT_EQ(env_int("DTN_TEST_ENV_INT", 0), 42);
