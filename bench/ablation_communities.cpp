@@ -4,6 +4,8 @@
 // loop: communities detected from a routing-free contact warm-up
 // (core::detect_communities over the thresholded contact-count graph)
 // should recover most of ground-truth CR's performance.
+#include <memory>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -36,8 +38,8 @@ void run_variant(benchmark::State& state, const std::string& variant, int nodes,
       detection.familiar_threshold = 4;
       spec.communities_override =
           std::make_shared<const dtn::core::CommunityTable>(
-              dtn::harness::detect_bus_communities(spec, detection,
-                                                   /*warmup_s=*/1500.0));
+              dtn::harness::detect_spec_communities(spec, detection,
+                                                    /*warmup_s=*/1500.0));
       communities_found += spec.communities_override->community_count();
     } else {
       dtn::harness::apply_override(spec, "protocol.name", "EER");

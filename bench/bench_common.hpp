@@ -13,19 +13,18 @@
 //
 // Scale knobs (environment):
 //   DTN_BENCH_SEEDS     seeds per point            (default 2)
-//   DTN_BENCH_DURATION  simulated seconds per run  (default 4000)
+//   DTN_BENCH_DURATION  simulated seconds per run  (default 3000)
 //   DTN_BENCH_NODES_MAX largest node count         (default 240)
 //   DTN_BENCH_FULL=1    paper scale: 10 seeds, 10000 s
 // The paper uses 10 seeds × 10000 s; the defaults keep a full bench run
-// laptop-sized while preserving the figures' shape (see EXPERIMENTS.md).
+// laptop-sized while preserving the figures' shape.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -60,19 +59,29 @@ inline BenchScale bench_scale() {
   return s;
 }
 
-/// Paper-default bus scenario (Sec. V-A) at the bench scale, as a spec.
+/// Paper-default bus scenario (Sec. V-A) at the bench scale: a downtown
+/// map and one group of 120 buses; WorldConfig / TrafficParams defaults
+/// are the paper's.
 inline harness::ScenarioSpec paper_spec(const BenchScale& scale) {
-  harness::BusScenarioParams p;  // WorldConfig / TrafficParams defaults are the paper's
-  p.duration_s = scale.duration_s;
-  return harness::to_spec(p);
+  harness::ScenarioSpec spec;
+  spec.name = "bus";
+  spec.duration_s = scale.duration_s;
+  harness::GroupSpec buses;
+  buses.name = "buses";
+  buses.model = "bus";
+  buses.count = 120;
+  spec.groups.push_back(std::move(buses));
+  return spec;
 }
 
 /// Accumulates per-point results so the figure tables can be printed after
 /// all benchmarks ran.
 class FigureCollector {
  public:
-  void add(const harness::PointResult& point, const std::string& series) {
-    points_.push_back({series, point});
+  /// Stores `point` under column `series` (its protocol field is relabeled).
+  void add(harness::PointResult point, const std::string& series) {
+    point.protocol = series;
+    points_.push_back(std::move(point));
   }
 
   /// Prints rows = node counts, columns = series, one table per metric.
@@ -80,36 +89,8 @@ class FigureCollector {
     std::printf("\n=== %s: %s ===\n", figure.c_str(), caption.c_str());
     for (const auto metric : {harness::Metric::kDeliveryRatio, harness::Metric::kLatency,
                               harness::Metric::kGoodput, harness::Metric::kControlMb}) {
-      std::vector<std::string> series_names;
-      std::vector<int> node_counts;
-      for (const auto& [series, point] : points_) {
-        if (std::find(series_names.begin(), series_names.end(), series) ==
-            series_names.end()) {
-          series_names.push_back(series);
-        }
-        if (std::find(node_counts.begin(), node_counts.end(), point.node_count) ==
-            node_counts.end()) {
-          node_counts.push_back(point.node_count);
-        }
-      }
-      std::vector<std::string> headers{"nodes"};
-      for (const auto& s : series_names) headers.push_back(s);
-      util::TablePrinter table(std::move(headers));
-      for (const int n : node_counts) {
-        table.new_row().add_cell(static_cast<long long>(n));
-        for (const auto& s : series_names) {
-          bool found = false;
-          for (const auto& [series, point] : points_) {
-            if (series == s && point.node_count == n) {
-              table.add_cell(harness::metric_value(point, metric),
-                             metric == harness::Metric::kLatency ? 1 : 4);
-              found = true;
-              break;
-            }
-          }
-          if (!found) table.add_cell(std::string("-"));
-        }
-      }
+      const util::TablePrinter table = harness::metric_table(
+          points_, metric, metric == harness::Metric::kLatency ? 1 : 4);
       std::printf("\n--- %s ---\n%s", harness::metric_name(metric).c_str(),
                   table.to_string().c_str());
     }
@@ -117,7 +98,7 @@ class FigureCollector {
   }
 
  private:
-  std::vector<std::pair<std::string, harness::PointResult>> points_;
+  std::vector<harness::PointResult> points_;
 };
 
 /// The binary-wide reusable scenario executor: every grid point of every

@@ -1,5 +1,5 @@
 // Campaign-throughput benchmark: the perf trajectory for the experiment
-// EXECUTION layer (harness::run_sweep), complementing bench_world_step's
+// EXECUTION layer (harness::run_spec_sweep), complementing bench_world_step's
 // single-run kernel numbers. It times one (protocol x node-count x seed)
 // screening campaign through the sweep engine (persistent shared pool with
 // chunked atomic-counter dispatch, one reusable World per worker, SoA
@@ -71,24 +71,34 @@ namespace dtn::bench {
 /// worlds with short runs — the shape of ablation grids and CI suites,
 /// where per-run setup and movement dominate and campaign throughput (not
 /// single-run latency) is the metric that matters.
-harness::SweepOptions campaign(bool smoke, int seeds, double duration_s) {
-  harness::SweepOptions opt;
-  opt.protocols = smoke ? std::vector<std::string>{"Epidemic", "SprayAndWait"}
-                        : std::vector<std::string>{"Epidemic", "SprayAndWait",
-                                                   "DirectDelivery"};
-  opt.node_counts = smoke ? std::vector<int>{24} : std::vector<int>{40, 80};
+harness::SpecSweepOptions campaign(bool smoke, int seeds, double duration_s) {
+  harness::SpecSweepOptions opt;
+  harness::ScenarioSpec& spec = opt.base;
+  spec.name = "bus";
+  spec.duration_s = smoke ? 200.0 : duration_s;
+  spec.map.params.downtown.rows = 6;
+  spec.map.params.downtown.cols = 8;
+  spec.map.params.downtown.districts = 2;
+  spec.map.params.downtown.routes_per_district = 2;
+  harness::GroupSpec buses;
+  buses.name = "buses";
+  buses.model = "bus";
+  buses.count = 0;  // overlaid per point
+  spec.groups.push_back(std::move(buses));
+  spec.traffic.ttl = smoke ? 100.0 : 150.0;
+  spec.traffic.interval_min = 10.0;
+  spec.traffic.interval_max = 20.0;
+
+  opt.axes = {
+      harness::SweepAxis{"protocol.name",
+                         smoke ? std::vector<std::string>{"Epidemic", "SprayAndWait"}
+                               : std::vector<std::string>{"Epidemic", "SprayAndWait",
+                                                          "DirectDelivery"}},
+      harness::SweepAxis{"scenario.nodes", smoke ? std::vector<std::string>{"24"}
+                                                 : std::vector<std::string>{"40", "80"}}};
   opt.seeds = smoke ? 2 : seeds;
   opt.seed_base = 1000;
   opt.threads = 1;  // per-core campaign throughput
-  opt.base.duration_s = smoke ? 200.0 : duration_s;
-  opt.base.node_count = 0;  // overlaid per point
-  opt.base.map.rows = 6;
-  opt.base.map.cols = 8;
-  opt.base.map.districts = 2;
-  opt.base.map.routes_per_district = 2;
-  opt.base.traffic.ttl = smoke ? 100.0 : 150.0;
-  opt.base.traffic.interval_min = 10.0;
-  opt.base.traffic.interval_max = 20.0;
   return opt;
 }
 
@@ -143,7 +153,10 @@ bool identical_spec_aggregates(const std::vector<harness::SpecPointResult>& a,
                                const std::vector<harness::SpecPointResult>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].overrides != b[i].overrides) return false;
+    if (a[i].overrides != b[i].overrides ||
+        a[i].result.delivery_ratio.count() != b[i].result.delivery_ratio.count()) {
+      return false;
+    }
     for (const auto metric :
          {harness::Metric::kDeliveryRatio, harness::Metric::kLatency,
           harness::Metric::kGoodput, harness::Metric::kControlMb,
@@ -158,33 +171,12 @@ bool identical_spec_aggregates(const std::vector<harness::SpecPointResult>& a,
   return true;
 }
 
-double run_campaign(const harness::SweepOptions& opt,
-                    std::vector<harness::PointResult>& results) {
+double run_campaign(const harness::SpecSweepOptions& opt,
+                    std::vector<harness::SpecPointResult>& results) {
   const auto t0 = std::chrono::steady_clock::now();
-  results = harness::run_sweep(opt);
+  results = harness::run_spec_sweep(opt);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool identical_aggregates(const std::vector<harness::PointResult>& a,
-                          const std::vector<harness::PointResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].protocol != b[i].protocol || a[i].node_count != b[i].node_count ||
-        a[i].delivery_ratio.count() != b[i].delivery_ratio.count()) {
-      return false;
-    }
-    for (const auto metric :
-         {harness::Metric::kDeliveryRatio, harness::Metric::kLatency,
-          harness::Metric::kGoodput, harness::Metric::kControlMb,
-          harness::Metric::kRelayed}) {
-      if (harness::metric_value(a[i], metric) != harness::metric_value(b[i], metric)) {
-        return false;
-      }
-    }
-    if (a[i].contacts.mean() != b[i].contacts.mean()) return false;
-  }
-  return true;
 }
 
 /// Allocation cost of one additional seed, reused world vs fresh world.
@@ -262,16 +254,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const harness::SweepOptions reused_opt = bench::campaign(smoke, seeds, duration);
-  harness::SweepOptions parallel_opt = reused_opt;
+  const harness::SpecSweepOptions reused_opt = bench::campaign(smoke, seeds, duration);
+  harness::SpecSweepOptions parallel_opt = reused_opt;
   parallel_opt.threads = 0;  // hardware concurrency
   const unsigned parallel_threads = std::max(1u, std::thread::hardware_concurrency());
 
-  const std::size_t runs = reused_opt.protocols.size() *
-                           reused_opt.node_counts.size() *
-                           static_cast<std::size_t>(reused_opt.seeds);
-  const std::size_t points =
-      reused_opt.protocols.size() * reused_opt.node_counts.size();
+  const std::size_t protocols = reused_opt.axes[0].values.size();
+  const std::size_t node_counts = reused_opt.axes[1].values.size();
+  const std::size_t points = protocols * node_counts;
+  const std::size_t runs = points * static_cast<std::size_t>(reused_opt.seeds);
   std::printf("campaign: %zu points x %d seeds = %zu runs, %.0f s sim each\n",
               points, reused_opt.seeds, runs, reused_opt.base.duration_s);
   std::fflush(stdout);
@@ -280,14 +271,14 @@ int main(int argc, char** argv) {
   // segment of each thread count wins.
   double reused_best = 1e300;
   double parallel_best = 1e300;
-  std::vector<harness::PointResult> reused_results;
-  std::vector<harness::PointResult> parallel_results;
+  std::vector<harness::SpecPointResult> reused_results;
+  std::vector<harness::SpecPointResult> parallel_results;
   for (int t = 0; t < trials; ++t) {
     reused_best = std::min(reused_best, bench::run_campaign(reused_opt, reused_results));
     parallel_best =
         std::min(parallel_best, bench::run_campaign(parallel_opt, parallel_results));
   }
-  if (!bench::identical_aggregates(reused_results, parallel_results)) {
+  if (!bench::identical_spec_aggregates(reused_results, parallel_results)) {
     std::fprintf(stderr,
                  "FATAL: sweep aggregates at threads=1 and threads=%u diverged — "
                  "the engine broke its any-thread-count contract\n",
@@ -368,8 +359,8 @@ int main(int argc, char** argv) {
       "    \"hub_runs_per_sec\": %.3f, \"hub_points_per_sec\": %.3f, "
       "\"replay_identical\": true}\n"
       "}\n",
-      reused_opt.protocols.size(), reused_opt.node_counts.size(),
-      reused_opt.seeds, reused_opt.base.duration_s, runs, trials, reused_rps,
+      protocols, node_counts, reused_opt.seeds, reused_opt.base.duration_s, runs,
+      trials, reused_rps,
       static_cast<double>(points) / reused_best, parallel_threads, parallel_rps,
       alloc_nodes, alloc_steps,
       alloc.reused_allocs_per_seed, reused_allocs_per_step,

@@ -8,6 +8,8 @@
 #     interval; full_ttl_window with ttl >= duration) — exit 1 with the
 #     explanatory diagnostic;
 #   - `run` on a missing file — exit 1;
+#   - `run` on a trace-driven workload with a malformed traffic.file line
+#     — exit 1 with the trace's path:line diagnostic;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
 #     summary line (a new example cfg must ship
 #     tests/cli/expected/check_<name>.stdout alongside it);
@@ -207,3 +209,11 @@ golden_case("sweep --resume corrupt tail" ${RESUME_DIR} 0
             - sweep_resume_corrupt_tail.stderr
             sweep ${FIXTURE} --axis protocol.copies=2,4 --seeds 1 --quiet
             --journal torn.j --resume)
+
+# ---- traffic.file diagnostics -------------------------------------------------
+# The committed trace's line 3 has a fractional size ("25.5"); `run` must
+# refuse it with the trace's path:line instead of loading a 25 B message
+# with a 0.5 s TTL. Stdout (the run header) is not under test.
+golden_case("run bad_traffic_trace.cfg" ${CLI_DIR} 1
+            - run_bad_traffic_trace.stderr
+            run bad_traffic_trace.cfg --quiet)

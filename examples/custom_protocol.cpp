@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -91,12 +92,15 @@ int main() {
 
   const int nodes = 60;
   const double duration = 3000.0;
-  harness::BusScenarioParams base;
-  base.node_count = nodes;
-  base.duration_s = duration;
-
+  // The paper's bus world (Sec. V-A): a downtown map, one bus group.
   harness::SpecSweepOptions opt;
-  opt.base = harness::to_spec(base);
+  opt.base.name = "bus";
+  opt.base.duration_s = duration;
+  harness::GroupSpec buses;
+  buses.name = "buses";
+  buses.model = "bus";
+  buses.count = nodes;
+  opt.base.groups.push_back(std::move(buses));
   opt.axes.push_back({"protocol.name", {"Freshness", "EER", "SprayAndWait", "Epidemic"}});
   opt.seeds = 1;
   opt.seed_base = 9;

@@ -4,6 +4,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "util/flags.hpp"
+#include "util/value_parse.hpp"
 
 namespace dtn::geo {
 
@@ -43,11 +47,17 @@ Trace parse_trace(const std::string& content) {
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
+    std::string text = line.substr(0, line.find('#'));
+    std::replace_if(
+        text.begin(), text.end(), [](char c) { return c == '\t' || c == '\r'; }, ' ');
+    const std::vector<std::string> fields = util::split_fields(text);
+    if (fields.empty()) continue;  // blank/comment-only line
     TraceSample s;
-    if (!(ls >> s.time >> s.node >> s.pos.x >> s.pos.y)) {
+    // Exactly "time node x y" with an integer node id: no silent split of
+    // "2.5" into node 2 and x 0.5, no ignored trailing field.
+    if (fields.size() != 4 || !util::parse_value(fields[0], s.time) ||
+        !util::parse_value(fields[1], s.node) || !util::parse_value(fields[2], s.pos.x) ||
+        !util::parse_value(fields[3], s.pos.y)) {
       throw std::runtime_error("trace: malformed line " + std::to_string(lineno) +
                                ": '" + line + "'");
     }
@@ -75,7 +85,9 @@ bool write_trace(const std::string& path, const Trace& trace) {
   if (!f) return false;
   f << "# time node x y\n";
   for (const auto& s : sorted.samples) {
-    f << s.time << ' ' << s.node << ' ' << s.pos.x << ' ' << s.pos.y << '\n';
+    // Shortest round-trip text: read_trace(write_trace(t)) is bit-exact.
+    f << util::format_value(s.time) << ' ' << s.node << ' ' << util::format_value(s.pos.x)
+      << ' ' << util::format_value(s.pos.y) << '\n';
   }
   return f.good();
 }

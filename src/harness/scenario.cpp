@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness/spec_io.hpp"
+#include "util/flags.hpp"
+#include "util/value_parse.hpp"
 
 namespace dtn::harness {
 
@@ -55,9 +57,10 @@ std::string detection_cache_key(const ScenarioSpec& spec) {
 
 /// Loads a trace-driven workload (`traffic.profile = trace`). Line format:
 ///   time src dst [size_bytes [ttl]]
-/// with `#` comments; times must be non-decreasing and node ids must fit
-/// the spec's node count. Throws std::invalid_argument with path:line
-/// context — check-style loudness, never a silent empty workload.
+/// with `#` comments; size_bytes is an integer, times must be
+/// non-decreasing and node ids must fit the spec's node count. Throws
+/// std::invalid_argument with path:line context — check-style loudness,
+/// never a silent empty workload or a misread field.
 std::shared_ptr<const std::vector<sim::TraceMessage>> load_traffic_trace(
     const std::string& path, int node_count) {
   std::ifstream in(path);
@@ -76,14 +79,24 @@ std::shared_ptr<const std::vector<sim::TraceMessage>> load_traffic_trace(
     ++line_no;
     const auto hash = raw.find('#');
     if (hash != std::string::npos) raw.resize(hash);
-    std::istringstream fields(raw);
+    std::replace_if(
+        raw.begin(), raw.end(), [](char c) { return c == '\t' || c == '\r'; }, ' ');
+    const std::vector<std::string> fields = util::split_fields(raw);
+    if (fields.empty()) continue;  // blank/comment-only line
     sim::TraceMessage tm;
-    if (!(fields >> tm.time)) continue;  // blank/comment-only line
     std::int64_t src = 0;
     std::int64_t dst = 0;
-    if (!(fields >> src >> dst)) fail(line_no, "expected 'time src dst'");
-    fields >> tm.size_bytes >> tm.ttl;  // optional; 0 = TrafficParams default
-    if (!(tm.time >= 0.0)) fail(line_no, "time must be >= 0");
+    // Optional size/ttl stay 0 = TrafficParams default.
+    if (fields.size() < 3 || fields.size() > 5 || !util::parse_value(fields[0], tm.time) ||
+        !util::parse_value(fields[1], src) || !util::parse_value(fields[2], dst) ||
+        (fields.size() > 3 && !util::parse_value(fields[3], tm.size_bytes)) ||
+        (fields.size() > 4 && !util::parse_value(fields[4], tm.ttl))) {
+      fail(line_no, "expected 'time src dst [size_bytes [ttl]]' with an integer "
+                    "size_bytes, got '" + raw + "'");
+    }
+    if (!(tm.time >= 0.0 && std::isfinite(tm.time))) {
+      fail(line_no, "time must be finite and >= 0");
+    }
     if (tm.time < prev_time) fail(line_no, "times must be non-decreasing");
     prev_time = tm.time;
     if (src < 0 || src >= node_count || dst < 0 || dst >= node_count) {
@@ -91,7 +104,7 @@ std::shared_ptr<const std::vector<sim::TraceMessage>> load_traffic_trace(
     }
     if (src == dst) fail(line_no, "src and dst must differ");
     if (tm.size_bytes < 0) fail(line_no, "size_bytes must be > 0");
-    if (tm.ttl < 0.0) fail(line_no, "ttl must be > 0");
+    if (!(tm.ttl >= 0.0)) fail(line_no, "ttl must be > 0");
     tm.src = static_cast<sim::NodeIdx>(src);
     tm.dst = static_cast<sim::NodeIdx>(dst);
     trace->push_back(tm);
@@ -142,16 +155,6 @@ sim::TrafficParams resolve_traffic(const ScenarioSpec& spec) {
 }
 
 }  // namespace
-
-core::CommunityTable bus_scenario_communities(const geo::BusNetwork& net,
-                                              int node_count) {
-  std::vector<int> cid(static_cast<std::size_t>(node_count), 0);
-  for (int v = 0; v < node_count; ++v) {
-    const auto& route = net.routes[static_cast<std::size_t>(v) % net.routes.size()];
-    cid[static_cast<std::size_t>(v)] = route.district;
-  }
-  return core::CommunityTable(std::move(cid));
-}
 
 ScenarioRunner::ScenarioRunner() = default;
 ScenarioRunner::~ScenarioRunner() = default;
@@ -250,75 +253,9 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   return result;
 }
 
-ScenarioSpec to_spec(const BusScenarioParams& params) {
-  ScenarioSpec spec;
-  spec.name = "bus";
-  spec.duration_s = params.duration_s;
-  spec.seed = params.seed;
-  spec.full_ttl_window = params.full_ttl_window;
-  spec.map.kind = "downtown";
-  spec.map.params.downtown = params.map;
-  GroupSpec group;
-  group.name = "buses";
-  group.model = "bus";
-  group.count = params.node_count;
-  group.params.bus = params.bus;
-  spec.groups.push_back(std::move(group));
-  spec.world = params.world;
-  spec.traffic = params.traffic;
-  spec.protocol = params.protocol;
-  spec.communities.source = "auto";
-  spec.communities_override = params.communities_override;
-  return spec;
-}
-
-ScenarioSpec to_spec(const CommunityScenarioParams& params) {
-  ScenarioSpec spec;
-  spec.name = "community";
-  spec.duration_s = params.duration_s;
-  spec.seed = params.seed;
-  spec.full_ttl_window = params.full_ttl_window;
-  spec.map.kind = "open_field";
-  spec.map.params.width = params.world_size_m;
-  spec.map.params.height = params.world_size_m;
-  GroupSpec group;
-  group.name = "walkers";
-  group.model = "community";
-  group.count = params.node_count;
-  group.params.community.home_prob = params.home_prob;
-  spec.groups.push_back(std::move(group));
-  spec.world = params.world;
-  spec.traffic = params.traffic;
-  spec.protocol = params.protocol;
-  spec.communities.source = "auto";
-  spec.communities.count = params.communities;
-  return spec;
-}
-
-ScenarioResult ScenarioRunner::run(const BusScenarioParams& params) {
-  return run(to_spec(params));
-}
-
-ScenarioResult ScenarioRunner::run(const CommunityScenarioParams& params) {
-  return run(to_spec(params));
-}
-
-ScenarioResult run_bus_scenario(const BusScenarioParams& params) {
-  ScenarioRunner runner;
-  return runner.run(params);
-}
-
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   ScenarioRunner runner;
   return runner.run(spec);
-}
-
-core::CommunityTable detect_bus_communities(const BusScenarioParams& params,
-                                            const core::DetectionParams& detection,
-                                            double warmup_s) {
-  // One warm-up implementation: the generic spec path builds the identical
-  // downtown map, route assignment, and per-node movement streams.
-  return detect_spec_communities(to_spec(params), detection, warmup_s);
 }
 
 core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
@@ -343,22 +280,6 @@ core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
   }
   world.run(warmup_s);
   return core::detect_communities(graph, detection);
-}
-
-core::CommunityTable detect_bus_communities(const ScenarioSpec& spec,
-                                            const core::DetectionParams& detection,
-                                            double warmup_s) {
-  if (spec.map.kind != "downtown" || spec.groups.size() != 1 ||
-      spec.groups[0].model != "bus") {
-    throw std::invalid_argument(
-        "detect_bus_communities needs a downtown map and a single bus group");
-  }
-  return detect_spec_communities(spec, detection, warmup_s);
-}
-
-ScenarioResult run_community_scenario(const CommunityScenarioParams& params) {
-  ScenarioRunner runner;
-  return runner.run(params);
 }
 
 }  // namespace dtn::harness

@@ -1,48 +1,21 @@
 // Scenario execution: ScenarioRunner::run(const ScenarioSpec&) is the ONE
 // entry point that turns a declarative spec (harness/spec.hpp) into a
-// finished simulation. The BusScenarioParams / CommunityScenarioParams
-// structs predate the spec API and survive as thin adapters (to_spec), bit-
-// identical to their original hand-rolled builders (enforced by
-// harness_spec_equivalence_test). The bus scenario is the paper's
-// evaluation setup (Sec. V-A): a synthetic downtown map with bus routes,
-// nodes = buses, communities = districts.
+// finished simulation. The paper's evaluation setup (Sec. V-A) is the
+// spec with a downtown map and one `bus` group: nodes = buses,
+// communities = route districts.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "core/community_detection.hpp"
-#include "geo/map_gen.hpp"
 #include "harness/spec.hpp"
-#include "mobility/bus_movement.hpp"
-#include "mobility/community_movement.hpp"
-#include "routing/factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/world.hpp"
 
 namespace dtn::harness {
-
-/// Paper defaults (Sec. V-A). Every field is overridable by benches/tests.
-struct BusScenarioParams {
-  int node_count = 120;
-  double duration_s = 10000.0;
-  std::uint64_t seed = 1;
-
-  geo::DowntownParams map;        ///< map/route generator (districts = communities)
-  mobility::BusParams bus;        ///< speeds 2.7-13.9 m/s by default
-  sim::WorldConfig world;         ///< dt 0.1 s, range 10 m, 2 Mbps, 1 MB
-  sim::TrafficParams traffic;     ///< 25 KB packets, TTL 1200 s
-  routing::ProtocolConfig protocol;
-
-  /// When true (default) traffic generation stops at duration - TTL so
-  /// every generated message has a full TTL window inside the run.
-  bool full_ttl_window = true;
-
-  /// When set, CR uses this community table instead of the route-district
-  /// ground truth (used by the detected-communities ablation).
-  std::shared_ptr<const core::CommunityTable> communities_override;
-};
 
 struct ScenarioResult {
   sim::Metrics metrics;
@@ -53,18 +26,13 @@ struct ScenarioResult {
   std::uint64_t seed = 0;
 };
 
-/// Runs one bus-map simulation to completion and reports its metrics.
-ScenarioResult run_bus_scenario(const BusScenarioParams& params);
-
-struct CommunityScenarioParams;
-
 /// Reusable scenario executor: owns one sim::World whose allocated capacity
 /// (buffer slabs, spatial-grid cells, adjacency/connection/transfer pools,
 /// movement lanes, metrics buckets) is retained across run() calls via
 /// World::reset(). A worker thread keeps one ScenarioRunner for a whole
 /// campaign, so per-run allocation work shrinks to what genuinely differs
 /// between runs (the seed-dependent map, router instances). Results are
-/// bit-identical to the free functions on a fresh World (enforced by
+/// bit-identical to run_scenario on a fresh World (enforced by
 /// integration_sweep_test).
 class ScenarioRunner {
  public:
@@ -78,11 +46,6 @@ class ScenarioRunner {
   /// Throws std::invalid_argument (validate_spec / create_router) on
   /// inconsistent specs.
   ScenarioResult run(const ScenarioSpec& spec);
-
-  /// Adapter: run(to_spec(params)).
-  ScenarioResult run(const BusScenarioParams& params);
-  /// Adapter: run(to_spec(params)).
-  ScenarioResult run(const CommunityScenarioParams& params);
 
  private:
   /// Builds or resets the owned World for a fresh run under `config`.
@@ -102,57 +65,9 @@ class ScenarioRunner {
       detected_cache_;
 };
 
-/// Community random-waypoint scenario (no map): `communities` districts
-/// tiled across the world, one CommunityMovement per node. Exercises CR on
-/// mobility that is community-structured but not route-structured.
-struct CommunityScenarioParams {
-  int node_count = 80;
-  int communities = 4;
-  double world_size_m = 2400.0;
-  double home_prob = 0.85;
-  double duration_s = 8000.0;
-  std::uint64_t seed = 1;
-  sim::WorldConfig world;
-  sim::TrafficParams traffic;
-  routing::ProtocolConfig protocol;
-  bool full_ttl_window = true;
-};
-
-ScenarioResult run_community_scenario(const CommunityScenarioParams& params);
-
 /// Runs one spec to completion on a fresh runner (single-shot convenience;
 /// campaigns should keep a ScenarioRunner for world reuse).
 ScenarioResult run_scenario(const ScenarioSpec& spec);
-
-/// Converts the legacy bus parameter block into the equivalent spec: a
-/// downtown map and one `bus` group. Bit-identical execution.
-ScenarioSpec to_spec(const BusScenarioParams& params);
-
-/// Converts the legacy community parameter block into the equivalent spec:
-/// an open-field map and one `community` group with band-tiled homes.
-/// Bit-identical execution.
-ScenarioSpec to_spec(const CommunityScenarioParams& params);
-
-/// Builds the community table for a bus scenario (round-robin route
-/// assignment; community = route district), exposed so callers can
-/// construct CR configs that match the node assignment.
-core::CommunityTable bus_scenario_communities(const geo::BusNetwork& net,
-                                              int node_count);
-
-/// Runs a routing-free warm-up pass of the bus scenario (same map, same
-/// movement, same seed) for `warmup_s` seconds, collects pairwise contact
-/// counts, and detects communities from them (core::detect_communities).
-/// This is the distributed-construction path from the paper's future work,
-/// evaluated offline; see bench/ablation_communities.
-core::CommunityTable detect_bus_communities(const BusScenarioParams& params,
-                                            const core::DetectionParams& detection,
-                                            double warmup_s);
-
-/// Spec form of the warm-up detection: requires a downtown map and a
-/// single bus group (throws std::invalid_argument otherwise).
-core::CommunityTable detect_bus_communities(const ScenarioSpec& spec,
-                                            const core::DetectionParams& detection,
-                                            double warmup_s);
 
 /// Generic warm-up detection over ANY valid spec (what
 /// `communities.source = detected` executes): builds the spec's world with

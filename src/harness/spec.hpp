@@ -2,8 +2,8 @@
 // redesign): ONE spec type describes a complete simulation run — map
 // source, per-group mobility, radio/world, traffic, protocol, communities,
 // duration and seed — and ScenarioRunner::run(const ScenarioSpec&) is the
-// single execution entry every harness path (params-struct adapters,
-// sweeps, benches, the dtnsim CLI) funnels through.
+// single execution entry every harness path (sweeps, benches, examples,
+// the dtnsim CLI) funnels through.
 //
 // Composition is registry-driven end to end:
 //   - map.kind        -> geo::find_map_kind()        (downtown / open_field / trace)

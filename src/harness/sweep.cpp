@@ -781,30 +781,6 @@ JournalInspection inspect_sweep_journal(const std::string& path) {
   return out;
 }
 
-std::vector<PointResult> run_sweep(const SweepOptions& options) {
-  // The protocol × node-count grid is just two declarative axes over the
-  // bus spec; results come back in (protocol, node count) order.
-  SpecSweepOptions spec_options;
-  spec_options.base = to_spec(options.base);
-  SweepAxis protocol_axis{"protocol.name", options.protocols};
-  SweepAxis node_axis{"scenario.nodes", {}};
-  node_axis.values.reserve(options.node_counts.size());
-  for (const int n : options.node_counts) {
-    node_axis.values.push_back(util::format_value(n));
-  }
-  spec_options.axes = {std::move(protocol_axis), std::move(node_axis)};
-  spec_options.seeds = options.seeds;
-  spec_options.seed_base = options.seed_base;
-  spec_options.threads = options.threads;
-  spec_options.progress = options.progress;
-
-  std::vector<SpecPointResult> spec_results = run_spec_sweep(spec_options);
-  std::vector<PointResult> results;
-  results.reserve(spec_results.size());
-  for (auto& r : spec_results) results.push_back(std::move(r.result));
-  return results;
-}
-
 std::string metric_name(Metric metric) {
   switch (metric) {
     case Metric::kDeliveryRatio: return "delivery_ratio";

@@ -5,10 +5,8 @@
 // base ScenarioSpec plus axes of `key = value` overrides (SweepAxis), so
 // ANY spec parameter — protocol, node count, buffer size, TTL, mobility
 // speeds, map shape — can be swept or ablated through the same engine
-// (run_spec_sweep). The original protocol × node-count SweepOptions
-// survives as a thin adapter that expands into the axes
-// {protocol.name, scenario.nodes} (bit-identical aggregates, enforced by
-// integration_sweep_test).
+// (run_spec_sweep). The paper's protocol × node-count grid is the axes
+// {protocol.name, scenario.nodes}.
 //
 // Execution engine (PR 3): runs fan out over the persistent shared thread
 // pool with chunked dispatch — no per-run task/future allocations — and
@@ -295,23 +293,6 @@ struct JournalInspection {
   }
 };
 JournalInspection inspect_sweep_journal(const std::string& path);
-
-struct SweepOptions {
-  std::vector<std::string> protocols;
-  std::vector<int> node_counts;
-  int seeds = 2;
-  std::uint64_t seed_base = 1000;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// Applied to every point before protocol/node count are overlaid.
-  BusScenarioParams base;
-  /// Optional progress callback (point label) invoked as runs finish.
-  std::function<void(const std::string&)> progress;
-};
-
-/// Adapter: expands into run_spec_sweep over axes
-/// {protocol.name = protocols, scenario.nodes = node_counts}. Results
-/// ordered by (protocol, node_count) as given.
-std::vector<PointResult> run_sweep(const SweepOptions& options);
 
 /// Renders one metric across the grid as a table: rows = node counts,
 /// columns = protocols. `metric` selects the accumulator.

@@ -12,7 +12,7 @@
 // remaining unclaimed chunks, and is rethrown on the calling thread.
 //
 // The process-wide shared() pool is created once and reused by every
-// static parallel_for call, so campaign code paths (harness::run_sweep,
+// static parallel_for call, so campaign code paths (harness::run_spec_sweep,
 // benches) never pay thread creation/teardown per call; worker-slot ids
 // let callers keep per-thread state (e.g. a reusable World) across an
 // entire loop.

@@ -34,6 +34,8 @@ TEST(Trace, ParseRejectsMalformed) {
   EXPECT_THROW(parse_trace("not a number\n"), std::runtime_error);
   EXPECT_THROW(parse_trace("1 0 2\n"), std::runtime_error);  // missing y
   EXPECT_THROW(parse_trace("1 -2 0 0\n"), std::runtime_error);  // negative id
+  EXPECT_THROW(parse_trace("1 2.5 3 4\n"), std::runtime_error);  // fractional id
+  EXPECT_THROW(parse_trace("1 2 3 4 5\n"), std::runtime_error);  // extra field
 }
 
 TEST(Trace, NodeCountAndDuration) {
@@ -49,17 +51,22 @@ TEST(Trace, EmptyTrace) {
 }
 
 TEST(Trace, WriteReadRoundTrip) {
+  // Bit-exact: positions past 6 significant digits and times above 1e6 s
+  // must survive the text form unchanged.
   Trace t;
-  t.samples = {{0.0, 0, {1.0, 2.0}}, {5.5, 1, {-3.25, 4.75}}, {10.0, 0, {0.0, 0.0}}};
+  t.samples = {{0.0, 0, {1.0, 2.0}},
+               {5.5, 1, {-3.25, 4.75}},
+               {10.0, 0, {0.0, 0.0}},
+               {1234567.125, 2, {1234.5678, 0.1 + 0.2}}};
   const std::string path = ::testing::TempDir() + "/dtn_trace_test.txt";
   ASSERT_TRUE(write_trace(path, t));
   const Trace back = read_trace(path);
   ASSERT_EQ(back.samples.size(), t.samples.size());
   for (std::size_t i = 0; i < t.samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(back.samples[i].time, t.samples[i].time);
+    EXPECT_EQ(back.samples[i].time, t.samples[i].time);
     EXPECT_EQ(back.samples[i].node, t.samples[i].node);
-    EXPECT_DOUBLE_EQ(back.samples[i].pos.x, t.samples[i].pos.x);
-    EXPECT_DOUBLE_EQ(back.samples[i].pos.y, t.samples[i].pos.y);
+    EXPECT_EQ(back.samples[i].pos.x, t.samples[i].pos.x);
+    EXPECT_EQ(back.samples[i].pos.y, t.samples[i].pos.y);
   }
   std::remove(path.c_str());
 }

@@ -5,6 +5,7 @@
 
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
@@ -120,7 +121,7 @@ TEST(SpecDiagnostics, CommunitiesSourceIsValidated) {
 }
 
 TEST(SpecDiagnostics, ApplyOverrideThrowsSpecError) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::bus_spec();
   EXPECT_THROW(apply_override(spec, "protocol.copeis", "3"), SpecError);
   EXPECT_THROW(apply_override(spec, "protocol.copies", "several"), SpecError);
   EXPECT_THROW(apply_override(spec, "group.nosuch.count", "3"), SpecError);
@@ -139,17 +140,17 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   ScenarioSpec empty;
   EXPECT_THROW(validate_spec(empty), std::invalid_argument);  // no groups
 
-  ScenarioSpec bad_protocol = to_spec(BusScenarioParams{});
+  ScenarioSpec bad_protocol = test::bus_spec();
   bad_protocol.protocol.name = "NoSuchProtocol";
   EXPECT_THROW(validate_spec(bad_protocol), std::invalid_argument);
 
-  ScenarioSpec duplicate = to_spec(BusScenarioParams{});
+  ScenarioSpec duplicate = test::bus_spec();
   duplicate.groups.push_back(duplicate.groups[0]);
   EXPECT_THROW(validate_spec(duplicate), std::invalid_argument);
 
   // Model/map capability mismatches are caught at validation, so
   // `dtnsim check` rejects exactly what run would reject.
-  ScenarioSpec bus_on_field = to_spec(BusScenarioParams{});
+  ScenarioSpec bus_on_field = test::bus_spec();
   apply_override(bus_on_field, "map.kind", "open_field");
   EXPECT_THROW(validate_spec(bus_on_field), std::invalid_argument);
 
@@ -161,7 +162,7 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   // Group names become config-key segments, so the serialized form must
   // stay parseable: dots, '#', '=', whitespace are rejected.
   for (const std::string bad_name : {"city.buses", "bu ses", "a#b", "a=b", ""}) {
-    ScenarioSpec bad = to_spec(BusScenarioParams{});
+    ScenarioSpec bad = test::bus_spec();
     bad.groups[0].name = bad_name;
     EXPECT_THROW(validate_spec(bad), std::invalid_argument) << bad_name;
   }
@@ -182,12 +183,12 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   apply_override(bad_margin, "group.relays.margin", "-150");
   EXPECT_THROW(validate_spec(bad_margin), std::invalid_argument);
 
-  ScenarioSpec ok = to_spec(BusScenarioParams{});
+  ScenarioSpec ok = test::bus_spec();
   EXPECT_NO_THROW(validate_spec(ok));
 }
 
 TEST(SpecDiagnostics, BusGroupOnOpenFieldFailsAtBuildWithContext) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::bus_spec();
   spec.duration_s = 10.0;
   apply_override(spec, "map.kind", "open_field");
   try {

@@ -1,108 +1,119 @@
-// Spec-vs-legacy-params equivalence: the ScenarioSpec execution path must
+// Spec-vs-legacy equivalence: the ScenarioSpec execution path must
 // reproduce the pre-spec hand-rolled scenario builders BIT FOR BIT. The
 // legacy builders live in this test verbatim (fresh World, the exact
-// construction order the params structs used before becoming adapters);
-// every protocol × seed must match on every integer metric and the exact
-// float aggregates.
+// construction order of the pre-spec scenario runners), reading their
+// parameters from the same single-group spec; every protocol × seed must
+// match on every integer metric and the exact float aggregates.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "geo/map_gen.hpp"
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "mobility/bus_movement.hpp"
 #include "mobility/community_movement.hpp"
+#include "routing/factory.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams small_bus(const std::string& protocol, std::uint64_t seed) {
-  BusScenarioParams p;
-  p.node_count = 24;
-  p.duration_s = 1500.0;
-  p.seed = seed;
-  p.map.rows = 6;
-  p.map.cols = 8;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.traffic.ttl = 600.0;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec small_bus(const std::string& protocol, std::uint64_t seed) {
+  ScenarioSpec spec = test::bus_spec(24);
+  spec.duration_s = 1500.0;
+  spec.seed = seed;
+  spec.map.params.downtown.rows = 6;
+  spec.map.params.downtown.cols = 8;
+  spec.map.params.downtown.districts = 3;
+  spec.map.params.downtown.routes_per_district = 2;
+  spec.traffic.ttl = 600.0;
+  spec.protocol.name = protocol;
+  spec.protocol.copies = 6;
+  return spec;
 }
 
-/// The pre-spec run_bus_scenario body, verbatim.
-ScenarioResult legacy_run_bus(const BusScenarioParams& params) {
-  geo::DowntownParams map_params = params.map;
-  map_params.seed = params.seed;
+/// The pre-spec bus scenario body, verbatim, reading its parameters from
+/// the single bus group spec.
+ScenarioResult legacy_run_bus(const ScenarioSpec& spec) {
+  const GroupSpec& buses = spec.groups.at(0);
+  geo::DowntownParams map_params = spec.map.params.downtown;
+  map_params.seed = spec.seed;
   const geo::BusNetwork net = geo::generate_downtown(map_params);
   std::vector<std::shared_ptr<const geo::Polyline>> routes;
   routes.reserve(net.routes.size());
   for (const auto& r : net.routes) {
     routes.push_back(std::make_shared<const geo::Polyline>(r.line));
   }
-  std::shared_ptr<const core::CommunityTable> communities = params.communities_override;
+  std::shared_ptr<const core::CommunityTable> communities = spec.communities_override;
   if (!communities) {
-    communities = std::make_shared<const core::CommunityTable>(
-        bus_scenario_communities(net, params.node_count));
+    std::vector<int> cid(static_cast<std::size_t>(buses.count), 0);
+    for (int v = 0; v < buses.count; ++v) {
+      const auto& route = net.routes[static_cast<std::size_t>(v) % net.routes.size()];
+      cid[static_cast<std::size_t>(v)] = route.district;
+    }
+    communities = std::make_shared<const core::CommunityTable>(std::move(cid));
   }
-  sim::WorldConfig world_config = params.world;
-  world_config.seed = params.seed;
+  sim::WorldConfig world_config = spec.world;
+  world_config.seed = spec.seed;
   sim::World world(world_config);
-  routing::ProtocolConfig protocol = params.protocol;
+  routing::ProtocolConfig protocol = spec.protocol;
   protocol.communities = communities;
-  for (int v = 0; v < params.node_count; ++v) {
+  for (int v = 0; v < buses.count; ++v) {
     const std::size_t route_idx = static_cast<std::size_t>(v) % routes.size();
-    world.add_node(routes[route_idx], params.bus, routing::create_router(protocol));
+    world.add_node(routes[route_idx], buses.params.bus, routing::create_router(protocol));
   }
-  sim::TrafficParams traffic = params.traffic;
-  if (params.full_ttl_window) traffic.stop = params.duration_s - traffic.ttl;
+  sim::TrafficParams traffic = spec.traffic;
+  if (spec.full_ttl_window) traffic.stop = spec.duration_s - traffic.ttl;
   world.set_traffic(traffic);
-  world.run(params.duration_s);
+  world.run(spec.duration_s);
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
-  result.protocol = params.protocol.name;
-  result.node_count = params.node_count;
-  result.seed = params.seed;
+  result.protocol = spec.protocol.name;
+  result.node_count = buses.count;
+  result.seed = spec.seed;
   return result;
 }
 
-/// The pre-spec run_community_scenario body, verbatim.
-ScenarioResult legacy_run_community(const CommunityScenarioParams& params) {
-  const int l = params.communities > 0 ? params.communities : 1;
-  const double band = params.world_size_m / static_cast<double>(l);
-  std::vector<int> cid(static_cast<std::size_t>(params.node_count));
-  for (int v = 0; v < params.node_count; ++v) {
+/// The pre-spec community scenario body, verbatim, reading its parameters
+/// from the single community group spec on a square open field.
+ScenarioResult legacy_run_community(const ScenarioSpec& spec) {
+  const GroupSpec& walkers = spec.groups.at(0);
+  const double world_size_m = spec.map.params.width;
+  const int l = spec.communities.count > 0 ? spec.communities.count : 1;
+  const double band = world_size_m / static_cast<double>(l);
+  std::vector<int> cid(static_cast<std::size_t>(walkers.count));
+  for (int v = 0; v < walkers.count; ++v) {
     cid[static_cast<std::size_t>(v)] = v % l;
   }
   auto communities = std::make_shared<const core::CommunityTable>(cid);
-  sim::WorldConfig world_config = params.world;
-  world_config.seed = params.seed;
+  sim::WorldConfig world_config = spec.world;
+  world_config.seed = spec.seed;
   sim::World world(world_config);
-  routing::ProtocolConfig protocol = params.protocol;
+  routing::ProtocolConfig protocol = spec.protocol;
   protocol.communities = communities;
-  for (int v = 0; v < params.node_count; ++v) {
+  for (int v = 0; v < walkers.count; ++v) {
     const int c = cid[static_cast<std::size_t>(v)];
     mobility::CommunityMovementParams mp;
     mp.world_min = {0.0, 0.0};
-    mp.world_max = {params.world_size_m, params.world_size_m};
+    mp.world_max = {world_size_m, world_size_m};
     mp.home_min = {band * c, 0.0};
-    mp.home_max = {band * (c + 1), params.world_size_m};
-    mp.home_prob = params.home_prob;
+    mp.home_max = {band * (c + 1), world_size_m};
+    mp.home_prob = walkers.params.community.home_prob;
     world.add_node(mp, routing::create_router(protocol));
   }
-  sim::TrafficParams traffic = params.traffic;
-  if (params.full_ttl_window) traffic.stop = params.duration_s - traffic.ttl;
+  sim::TrafficParams traffic = spec.traffic;
+  if (spec.full_ttl_window) traffic.stop = spec.duration_s - traffic.ttl;
   world.set_traffic(traffic);
-  world.run(params.duration_s);
+  world.run(spec.duration_s);
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
-  result.protocol = params.protocol.name;
-  result.node_count = params.node_count;
-  result.seed = params.seed;
+  result.protocol = spec.protocol.name;
+  result.node_count = walkers.count;
+  result.seed = spec.seed;
   return result;
 }
 
@@ -124,10 +135,10 @@ TEST(SpecEquivalence, BusSpecMatchesLegacyBuilderAllProtocolsTwoSeeds) {
   ScenarioRunner runner;  // one reused world across the whole grid
   for (const auto& protocol : routing::known_protocols()) {
     for (const std::uint64_t seed : {7u, 8u}) {
-      const BusScenarioParams params = small_bus(protocol, seed);
+      const ScenarioSpec spec = small_bus(protocol, seed);
       SCOPED_TRACE(protocol + "/seed=" + std::to_string(seed));
-      const ScenarioResult legacy = legacy_run_bus(params);
-      const ScenarioResult via_spec = runner.run(to_spec(params));
+      const ScenarioResult legacy = legacy_run_bus(spec);
+      const ScenarioResult via_spec = runner.run(spec);
       expect_identical(legacy, via_spec);
     }
   }
@@ -135,9 +146,9 @@ TEST(SpecEquivalence, BusSpecMatchesLegacyBuilderAllProtocolsTwoSeeds) {
 
 TEST(SpecEquivalence, BusSpecSurvivesConfigFileRoundTripExecution) {
   // Not just the in-memory spec: the SERIALIZED form must run identically.
-  const BusScenarioParams params = small_bus("EER", 9);
-  const ScenarioResult direct = legacy_run_bus(params);
-  const ScenarioSpec reparsed = parse_spec(to_config(to_spec(params)));
+  const ScenarioSpec spec = small_bus("EER", 9);
+  const ScenarioResult direct = legacy_run_bus(spec);
+  const ScenarioSpec reparsed = parse_spec(to_config(spec));
   const ScenarioResult via_file = run_scenario(reparsed);
   expect_identical(direct, via_file);
 }
@@ -146,35 +157,32 @@ TEST(SpecEquivalence, CommunitySpecMatchesLegacyBuilder) {
   ScenarioRunner runner;
   for (const std::string protocol : {"CR", "EER", "SprayAndWait", "Epidemic"}) {
     for (const std::uint64_t seed : {3u, 4u}) {
-      CommunityScenarioParams params;
-      params.node_count = 20;
-      params.communities = 4;
-      params.duration_s = 1500.0;
-      params.world_size_m = 600.0;
-      params.world.radio_range = 30.0;
-      params.protocol.name = protocol;
-      params.protocol.copies = 4;
-      params.seed = seed;
+      ScenarioSpec spec = test::community_spec(20, 4, 600.0);
+      spec.duration_s = 1500.0;
+      spec.world.radio_range = 30.0;
+      spec.protocol.name = protocol;
+      spec.protocol.copies = 4;
+      spec.seed = seed;
       SCOPED_TRACE(protocol + "/seed=" + std::to_string(seed));
-      const ScenarioResult legacy = legacy_run_community(params);
-      const ScenarioResult via_spec = runner.run(to_spec(params));
+      const ScenarioResult legacy = legacy_run_community(spec);
+      const ScenarioResult via_spec = runner.run(spec);
       expect_identical(legacy, via_spec);
     }
   }
 }
 
 TEST(SpecEquivalence, CommunitiesOverrideIsHonored) {
-  BusScenarioParams params = small_bus("CR", 5);
-  std::vector<int> cid(static_cast<std::size_t>(params.node_count));
-  for (int v = 0; v < params.node_count; ++v) cid[static_cast<std::size_t>(v)] = v % 2;
-  params.communities_override = std::make_shared<const core::CommunityTable>(cid);
-  const ScenarioResult legacy = legacy_run_bus(params);
-  const ScenarioResult via_spec = run_scenario(to_spec(params));
+  ScenarioSpec spec = small_bus("CR", 5);
+  std::vector<int> cid(static_cast<std::size_t>(spec.node_count()));
+  for (int v = 0; v < spec.node_count(); ++v) cid[static_cast<std::size_t>(v)] = v % 2;
+  spec.communities_override = std::make_shared<const core::CommunityTable>(cid);
+  const ScenarioResult legacy = legacy_run_bus(spec);
+  const ScenarioResult via_spec = run_scenario(spec);
   expect_identical(legacy, via_spec);
 }
 
 TEST(SpecEquivalence, MixedGroupsRunAndCountNodes) {
-  // The capability the params structs could not express: two mobility
+  // The capability the pre-spec builders could not express: two mobility
   // models in one world. Sanity-level assertions (no legacy reference
   // exists, by definition).
   ScenarioSpec spec = parse_spec(

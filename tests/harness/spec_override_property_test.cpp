@@ -15,6 +15,7 @@
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 #include "mobility/registry.hpp"
+#include "test_support.hpp"
 #include "util/value_parse.hpp"
 
 namespace dtn::harness {
@@ -176,7 +177,7 @@ TEST(SpecOverrideProperty, SuggestionVocabularyTracksTheRegistries) {
 
 TEST(SpecOverrideProperty, SeedAxisAndDuplicateAxesStayLoudlyRejected) {
   SpecSweepOptions options;
-  options.base = to_spec(BusScenarioParams{});
+  options.base = test::bus_spec();
   options.seeds = 1;
 
   options.axes = {SweepAxis{"scenario.seed", {"1", "2"}}};

@@ -1,10 +1,12 @@
 // Spec serialization: property test that ANY spec survives the
 // to_config -> parse_spec round trip bit for bit, plus targeted checks of
-// the grammar (comments, whitespace, group ordering, adapters).
+// the grammar (comments, whitespace, group ordering, the test-support
+// specs).
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dtn::harness {
@@ -176,19 +178,16 @@ TEST(SpecRoundtrip, ParsedFieldsMatchOriginal) {
   EXPECT_EQ(parsed.node_count(), original.node_count());
 }
 
-TEST(SpecRoundtrip, AdapterSpecsRoundTrip) {
-  BusScenarioParams bus;
-  bus.node_count = 77;
+TEST(SpecRoundtrip, TestSupportSpecsRoundTrip) {
+  ScenarioSpec bus = test::bus_spec(77);
   bus.duration_s = 1234.5;
   bus.protocol.name = "CR";
-  const std::string bus_config = to_config(to_spec(bus));
+  const std::string bus_config = to_config(bus);
   EXPECT_EQ(to_config(parse_spec(bus_config)), bus_config);
 
-  CommunityScenarioParams community;
-  community.node_count = 36;
-  community.communities = 6;
-  community.home_prob = 0.91;
-  const std::string community_config = to_config(to_spec(community));
+  ScenarioSpec community = test::community_spec(36, 6);
+  community.groups[0].params.community.home_prob = 0.91;
+  const std::string community_config = to_config(community);
   EXPECT_EQ(to_config(parse_spec(community_config)), community_config);
 }
 
@@ -222,7 +221,7 @@ TEST(SpecRoundtrip, GroupsKeepDeclarationOrder) {
 }
 
 TEST(SpecRoundtrip, ApplyOverrideMatchesParserVocabulary) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::bus_spec();
   apply_override(spec, "protocol.name", "Epidemic");
   apply_override(spec, "scenario.nodes", "55");
   apply_override(spec, "group.buses.speed_max", "10.5");

@@ -1,24 +1,23 @@
 // Declarative sweep engine: axis cross products over arbitrary spec keys,
-// ordering, label/meta propagation, and agreement with the legacy
-// protocol × node-count adapter.
+// ordering, label/meta propagation.
 #include <gtest/gtest.h>
 
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
 ScenarioSpec tiny_bus_spec() {
-  BusScenarioParams p;
-  p.duration_s = 1200.0;
-  p.traffic.ttl = 600.0;
-  p.map.rows = 6;
-  p.map.cols = 8;
-  p.map.districts = 2;
-  p.map.routes_per_district = 2;
-  p.node_count = 12;
-  return to_spec(p);
+  ScenarioSpec spec = test::bus_spec(12);
+  spec.duration_s = 1200.0;
+  spec.traffic.ttl = 600.0;
+  spec.map.params.downtown.rows = 6;
+  spec.map.params.downtown.cols = 8;
+  spec.map.params.downtown.districts = 2;
+  spec.map.params.downtown.routes_per_district = 2;
+  return spec;
 }
 
 TEST(SpecSweep, CrossProductOrderingFirstAxisOutermost) {
@@ -96,41 +95,6 @@ TEST(SpecSweep, SeedAxisIsRejectedNotSilentlyIgnored) {
   opt.base = tiny_bus_spec();
   opt.axes = {{"scenario.seed", {"1", "2"}}};
   EXPECT_THROW(run_spec_sweep(opt), SpecError);
-}
-
-TEST(SpecSweep, AdapterAgreesWithDirectSpecSweep) {
-  // run_sweep(SweepOptions) is documented as the axes
-  // {protocol.name, scenario.nodes}; both engines must produce identical
-  // aggregates and ordering.
-  SweepOptions legacy;
-  legacy.protocols = {"DirectDelivery", "Epidemic"};
-  legacy.node_counts = {12, 20};
-  legacy.seeds = 2;
-  legacy.seed_base = 77;
-  legacy.base.duration_s = 1200.0;
-  legacy.base.traffic.ttl = 600.0;
-  legacy.base.map.rows = 6;
-  legacy.base.map.cols = 8;
-  legacy.base.map.districts = 2;
-  legacy.base.map.routes_per_district = 2;
-  const auto adapted = run_sweep(legacy);
-
-  SpecSweepOptions direct;
-  direct.base = to_spec(legacy.base);
-  direct.axes = {{"protocol.name", legacy.protocols}, {"scenario.nodes", {"12", "20"}}};
-  direct.seeds = 2;
-  direct.seed_base = 77;
-  const auto spec_results = run_spec_sweep(direct);
-
-  ASSERT_EQ(adapted.size(), spec_results.size());
-  for (std::size_t i = 0; i < adapted.size(); ++i) {
-    EXPECT_EQ(adapted[i].protocol, spec_results[i].result.protocol);
-    EXPECT_EQ(adapted[i].node_count, spec_results[i].result.node_count);
-    EXPECT_EQ(adapted[i].delivery_ratio.mean(),
-              spec_results[i].result.delivery_ratio.mean());
-    EXPECT_EQ(adapted[i].latency.mean(), spec_results[i].result.latency.mean());
-    EXPECT_EQ(adapted[i].contacts.mean(), spec_results[i].result.contacts.mean());
-  }
 }
 
 TEST(SpecSweep, SweepTableRendersAxesAndMetrics) {

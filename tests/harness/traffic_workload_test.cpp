@@ -268,6 +268,22 @@ TEST(TrafficWorkload, TraceFileWorkloadReplaysAndValidates) {
     out << "5.0 0 1\n3.0 1 2\n";  // decreasing timestamps
   }
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+  // Misaligned or garbage fields fail with path:line context: a fractional
+  // size must not load as an integer size plus a TTL of its fraction.
+  for (const std::string line : {"10 0 1 25.5", "10 0 1 abc", "10 0 1 512 5 7",
+                                 "10 0", "10 0.5 1", "x 0 1"}) {
+    {
+      std::ofstream out(bad);
+      out << "# header\n1.0 0 1\n" << line << "\n";
+    }
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad + ":3:"), std::string::npos)
+          << line << " -> " << e.what();
+    }
+  }
 }
 
 }  // namespace

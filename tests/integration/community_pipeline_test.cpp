@@ -5,43 +5,45 @@
 
 #include <cstdio>
 
+#include "geo/map_gen.hpp"
 #include "geo/trace.hpp"
 #include "harness/scenario.hpp"
+#include "mobility/bus_movement.hpp"
 #include "mobility/trace_playback.hpp"
 #include "routing/factory.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams small_bus(std::uint64_t seed = 5) {
-  BusScenarioParams p;
-  p.node_count = 18;
-  p.duration_s = 2000.0;
-  p.seed = seed;
-  p.map.rows = 6;
-  p.map.cols = 9;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.map.hub_visit_prob = 0.5;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec small_bus(std::uint64_t seed = 5) {
+  ScenarioSpec spec = test::bus_spec(18);
+  spec.duration_s = 2000.0;
+  spec.seed = seed;
+  spec.map.params.downtown.rows = 6;
+  spec.map.params.downtown.cols = 9;
+  spec.map.params.downtown.districts = 3;
+  spec.map.params.downtown.routes_per_district = 2;
+  spec.map.params.downtown.hub_visit_prob = 0.5;
+  spec.protocol.copies = 6;
+  return spec;
 }
 
 TEST(CommunityPipeline, DetectionFindsMultipleCommunities) {
-  const BusScenarioParams p = small_bus();
+  const ScenarioSpec spec = small_bus();
   core::DetectionParams detection;
   detection.familiar_threshold = 3;
-  const core::CommunityTable detected = detect_bus_communities(p, detection, 1500.0);
-  EXPECT_EQ(detected.node_count(), p.node_count);
+  const core::CommunityTable detected = detect_spec_communities(spec, detection, 1500.0);
+  EXPECT_EQ(detected.node_count(), spec.node_count());
   EXPECT_GE(detected.community_count(), 1);
-  EXPECT_LE(detected.community_count(), p.node_count);
+  EXPECT_LE(detected.community_count(), spec.node_count());
 }
 
 TEST(CommunityPipeline, DetectionIsDeterministic) {
-  const BusScenarioParams p = small_bus();
+  const ScenarioSpec spec = small_bus();
   const core::DetectionParams detection{3, 0.5};
-  const core::CommunityTable a = detect_bus_communities(p, detection, 1000.0);
-  const core::CommunityTable b = detect_bus_communities(p, detection, 1000.0);
+  const core::CommunityTable a = detect_spec_communities(spec, detection, 1000.0);
+  const core::CommunityTable b = detect_spec_communities(spec, detection, 1000.0);
   ASSERT_EQ(a.node_count(), b.node_count());
   for (core::NodeIdx v = 0; v < a.node_count(); ++v) {
     EXPECT_EQ(a.community_of(v), b.community_of(v)) << "node " << v;
@@ -49,12 +51,12 @@ TEST(CommunityPipeline, DetectionIsDeterministic) {
 }
 
 TEST(CommunityPipeline, CrRunsWithDetectedCommunities) {
-  BusScenarioParams p = small_bus();
-  p.protocol.name = "CR";
+  ScenarioSpec spec = small_bus();
+  spec.protocol.name = "CR";
   const core::DetectionParams detection{3, 0.5};
-  p.communities_override = std::make_shared<const core::CommunityTable>(
-      detect_bus_communities(p, detection, 1500.0));
-  const ScenarioResult r = run_bus_scenario(p);
+  spec.communities_override = std::make_shared<const core::CommunityTable>(
+      detect_spec_communities(spec, detection, 1500.0));
+  const ScenarioResult r = run_scenario(spec);
   EXPECT_GT(r.metrics.created(), 0);
   EXPECT_GE(r.metrics.delivery_ratio(), 0.0);
   EXPECT_LE(r.metrics.delivery_ratio(), 1.0);
@@ -63,13 +65,13 @@ TEST(CommunityPipeline, CrRunsWithDetectedCommunities) {
 TEST(CommunityPipeline, OverrideChangesCommunityAssignment) {
   // A one-community override must behave like intra-community-only CR and
   // still run; it should also differ in relays from the ground-truth run.
-  BusScenarioParams p = small_bus();
-  p.protocol.name = "CR";
-  const ScenarioResult ground = run_bus_scenario(p);
-  std::vector<int> all_one(static_cast<std::size_t>(p.node_count), 0);
-  p.communities_override =
+  ScenarioSpec spec = small_bus();
+  spec.protocol.name = "CR";
+  const ScenarioResult ground = run_scenario(spec);
+  std::vector<int> all_one(static_cast<std::size_t>(spec.node_count()), 0);
+  spec.communities_override =
       std::make_shared<const core::CommunityTable>(all_one);
-  const ScenarioResult merged = run_bus_scenario(p);
+  const ScenarioResult merged = run_scenario(spec);
   EXPECT_GT(merged.metrics.created(), 0);
   // With a single community, CR degenerates to intra-community EER-style
   // routing everywhere; routing decisions (and relays) change.

@@ -3,29 +3,29 @@
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams base(const std::string& protocol, std::uint64_t seed) {
-  BusScenarioParams p;
-  p.node_count = 20;
-  p.duration_s = 1500.0;
-  p.seed = seed;
-  p.map.rows = 6;
-  p.map.cols = 8;
-  p.map.districts = 2;
-  p.map.routes_per_district = 2;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec base(const std::string& protocol, std::uint64_t seed) {
+  ScenarioSpec spec = test::bus_spec(20);
+  spec.duration_s = 1500.0;
+  spec.seed = seed;
+  spec.map.params.downtown.rows = 6;
+  spec.map.params.downtown.cols = 8;
+  spec.map.params.downtown.districts = 2;
+  spec.map.params.downtown.routes_per_district = 2;
+  spec.protocol.name = protocol;
+  spec.protocol.copies = 6;
+  return spec;
 }
 
 class DeterminismTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DeterminismTest, SameSeedSameMetrics) {
-  const auto a = run_bus_scenario(base(GetParam(), 11));
-  const auto b = run_bus_scenario(base(GetParam(), 11));
+  const auto a = run_scenario(base(GetParam(), 11));
+  const auto b = run_scenario(base(GetParam(), 11));
   EXPECT_EQ(a.metrics.created(), b.metrics.created());
   EXPECT_EQ(a.metrics.delivered(), b.metrics.delivered());
   EXPECT_EQ(a.metrics.relayed(), b.metrics.relayed());
@@ -36,8 +36,8 @@ TEST_P(DeterminismTest, SameSeedSameMetrics) {
 }
 
 TEST_P(DeterminismTest, DifferentSeedDifferentRun) {
-  const auto a = run_bus_scenario(base(GetParam(), 11));
-  const auto b = run_bus_scenario(base(GetParam(), 12));
+  const auto a = run_scenario(base(GetParam(), 11));
+  const auto b = run_scenario(base(GetParam(), 12));
   // Contact structure differs with the seed (map + traffic + movement).
   EXPECT_NE(a.contact_events, b.contact_events);
 }

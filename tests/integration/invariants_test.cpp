@@ -3,28 +3,28 @@
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams scenario(const std::string& protocol) {
-  BusScenarioParams p;
-  p.node_count = 24;
-  p.duration_s = 2000.0;
-  p.seed = 21;
-  p.map.rows = 8;
-  p.map.cols = 10;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec scenario(const std::string& protocol) {
+  ScenarioSpec spec = test::bus_spec(24);
+  spec.duration_s = 2000.0;
+  spec.seed = 21;
+  spec.map.params.downtown.rows = 8;
+  spec.map.params.downtown.cols = 10;
+  spec.map.params.downtown.districts = 3;
+  spec.map.params.downtown.routes_per_district = 2;
+  spec.protocol.name = protocol;
+  spec.protocol.copies = 6;
+  return spec;
 }
 
 class InvariantsTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(InvariantsTest, MetricsIdentitiesHold) {
-  const ScenarioResult r = run_bus_scenario(scenario(GetParam()));
+  const ScenarioResult r = run_scenario(scenario(GetParam()));
   const sim::Metrics& m = r.metrics;
 
   EXPECT_GE(m.created(), 0);
@@ -51,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, InvariantsTest,
                                            "EER", "CR"));
 
 TEST(Invariants, DirectDeliveryGoodputIsOne) {
-  const ScenarioResult r = run_bus_scenario(scenario("DirectDelivery"));
+  const ScenarioResult r = run_scenario(scenario("DirectDelivery"));
   if (r.metrics.relayed() > 0) {
     // Every relay of DirectDelivery IS a delivery attempt to the
     // destination; duplicates are impossible with a single copy.
@@ -60,15 +60,15 @@ TEST(Invariants, DirectDeliveryGoodputIsOne) {
 }
 
 TEST(Invariants, EpidemicDeliversAtLeastAsMuchAsDirect) {
-  const auto direct = run_bus_scenario(scenario("DirectDelivery"));
-  const auto epidemic = run_bus_scenario(scenario("Epidemic"));
+  const auto direct = run_scenario(scenario("DirectDelivery"));
+  const auto epidemic = run_scenario(scenario("Epidemic"));
   EXPECT_GE(epidemic.metrics.delivered(), direct.metrics.delivered());
 }
 
 TEST(Invariants, QuotaProtocolsRelayLessThanEpidemic) {
-  const auto epidemic = run_bus_scenario(scenario("Epidemic"));
-  const auto snw = run_bus_scenario(scenario("SprayAndWait"));
-  const auto eer = run_bus_scenario(scenario("EER"));
+  const auto epidemic = run_scenario(scenario("Epidemic"));
+  const auto snw = run_scenario(scenario("SprayAndWait"));
+  const auto eer = run_scenario(scenario("EER"));
   EXPECT_LT(snw.metrics.relayed(), epidemic.metrics.relayed());
   EXPECT_LT(eer.metrics.relayed(), epidemic.metrics.relayed());
 }

@@ -4,24 +4,28 @@
 #include <gtest/gtest.h>
 
 #include "harness/sweep.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
 const std::vector<PointResult>& comparison_results() {
   static const std::vector<PointResult> results = [] {
-    SweepOptions opt;
-    opt.protocols = {"EER", "CR", "EBR", "MaxProp", "SprayAndWait"};
-    opt.node_counts = {32};
+    SpecSweepOptions opt;
+    opt.base = test::bus_spec();
+    opt.base.duration_s = 2500.0;
+    opt.base.map.params.downtown.rows = 8;
+    opt.base.map.params.downtown.cols = 10;
+    opt.base.map.params.downtown.districts = 3;
+    opt.base.map.params.downtown.routes_per_district = 2;
+    opt.base.protocol.copies = 8;
+    opt.axes = {{"protocol.name", {"EER", "CR", "EBR", "MaxProp", "SprayAndWait"}},
+                {"scenario.nodes", {"32"}}};
     opt.seeds = 2;
     opt.seed_base = 500;
-    opt.base.duration_s = 2500.0;
-    opt.base.map.rows = 8;
-    opt.base.map.cols = 10;
-    opt.base.map.districts = 3;
-    opt.base.map.routes_per_district = 2;
-    opt.base.protocol.copies = 8;
-    return run_sweep(opt);
+    std::vector<PointResult> points;
+    for (auto& p : run_spec_sweep(opt)) points.push_back(std::move(p.result));
+    return points;
   }();
   return results;
 }

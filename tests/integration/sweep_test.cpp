@@ -5,26 +5,39 @@
 
 #include <atomic>
 
+#include "harness/spec_io.hpp"
+#include "test_support.hpp"
+
 namespace dtn::harness {
 namespace {
 
-SweepOptions tiny_sweep() {
-  SweepOptions opt;
-  opt.protocols = {"DirectDelivery", "Epidemic"};
-  opt.node_counts = {12, 20};
-  opt.seeds = 2;
-  opt.seed_base = 77;
+/// The protocol × node-count grid: axes {protocol.name, scenario.nodes}
+/// over a small bus world.
+SpecSweepOptions tiny_sweep() {
+  SpecSweepOptions opt;
+  opt.base = test::bus_spec();
   opt.base.duration_s = 1200.0;
   opt.base.traffic.ttl = 600.0;
-  opt.base.map.rows = 6;
-  opt.base.map.cols = 8;
-  opt.base.map.districts = 2;
-  opt.base.map.routes_per_district = 2;
+  opt.base.map.params.downtown.rows = 6;
+  opt.base.map.params.downtown.cols = 8;
+  opt.base.map.params.downtown.districts = 2;
+  opt.base.map.params.downtown.routes_per_district = 2;
+  opt.axes = {{"protocol.name", {"DirectDelivery", "Epidemic"}},
+              {"scenario.nodes", {"12", "20"}}};
+  opt.seeds = 2;
+  opt.seed_base = 77;
   return opt;
 }
 
+/// The per-point aggregates of run_spec_sweep, in grid order.
+std::vector<PointResult> sweep_points(const SpecSweepOptions& opt) {
+  std::vector<PointResult> results;
+  for (auto& point : run_spec_sweep(opt)) results.push_back(std::move(point.result));
+  return results;
+}
+
 TEST(Sweep, ProducesOnePointPerProtocolNodeCount) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = sweep_points(tiny_sweep());
   ASSERT_EQ(results.size(), 4u);
   for (const auto& p : results) {
     EXPECT_EQ(p.delivery_ratio.count(), 2u) << "one sample per seed";
@@ -33,15 +46,15 @@ TEST(Sweep, ProducesOnePointPerProtocolNodeCount) {
 }
 
 TEST(Sweep, ProgressCallbackFiresPerRun) {
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   std::atomic<int> calls{0};
   opt.progress = [&calls](const std::string&) { calls.fetch_add(1); };
-  run_sweep(opt);
+  sweep_points(opt);
   EXPECT_EQ(calls.load(), 2 * 2 * 2);  // protocols * node counts * seeds
 }
 
 TEST(Sweep, OrderFollowsInputs) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = sweep_points(tiny_sweep());
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].protocol, "DirectDelivery");
   EXPECT_EQ(results[0].node_count, 12);
@@ -50,7 +63,7 @@ TEST(Sweep, OrderFollowsInputs) {
 }
 
 TEST(Sweep, EpidemicDominatesDirectDeliveryOnDeliveries) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = sweep_points(tiny_sweep());
   // Aggregate over node counts: epidemic's flooding can't deliver less.
   double direct = 0.0;
   double epidemic = 0.0;
@@ -61,7 +74,7 @@ TEST(Sweep, EpidemicDominatesDirectDeliveryOnDeliveries) {
 }
 
 TEST(Sweep, MetricTableLayout) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = sweep_points(tiny_sweep());
   const auto table = metric_table(results, Metric::kDeliveryRatio);
   const std::string rendered = table.to_string();
   EXPECT_NE(rendered.find("nodes"), std::string::npos);
@@ -73,7 +86,7 @@ TEST(Sweep, MetricTableLayout) {
 }
 
 TEST(Sweep, MetricAccessorsCoverAllMetrics) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = sweep_points(tiny_sweep());
   for (const auto metric : {Metric::kDeliveryRatio, Metric::kLatency, Metric::kGoodput,
                             Metric::kControlMb, Metric::kRelayed}) {
     EXPECT_FALSE(metric_name(metric).empty());
@@ -82,11 +95,11 @@ TEST(Sweep, MetricAccessorsCoverAllMetrics) {
 }
 
 TEST(Sweep, ParallelAndSerialAgree) {
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   opt.threads = 1;
-  const auto serial = run_sweep(opt);
+  const auto serial = sweep_points(opt);
   opt.threads = 4;
-  const auto parallel = run_sweep(opt);
+  const auto parallel = sweep_points(opt);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial[i].delivery_ratio.mean(),
@@ -118,14 +131,14 @@ void expect_identical_results(const std::vector<PointResult>& a,
 TEST(Sweep, AggregatesBitIdenticalAcrossThreadCounts) {
   // The reused engine folds per-task samples in task order after the loop,
   // so aggregates cannot depend on worker count or completion order.
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   opt.seeds = 3;
   opt.threads = 1;
-  const auto one = run_sweep(opt);
+  const auto one = sweep_points(opt);
   opt.threads = 4;
-  const auto four = run_sweep(opt);
+  const auto four = sweep_points(opt);
   opt.threads = 0;  // hardware concurrency
-  const auto hw = run_sweep(opt);
+  const auto hw = sweep_points(opt);
   expect_identical_results(one, four);
   expect_identical_results(one, hw);
 }
@@ -134,19 +147,18 @@ TEST(Sweep, ScenarioRunnerReuseMatchesFreshWorlds) {
   // One runner executing a protocol/node-count/seed mix back to back must
   // reproduce fresh-world runs bit for bit (World::reset contract at the
   // harness level; the 12-protocol sweep lives in world_reuse_test).
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   ScenarioRunner runner;
-  for (const auto& protocol : opt.protocols) {
-    for (const int nodes : opt.node_counts) {
+  for (const auto& protocol : opt.axes[0].values) {
+    for (const auto& nodes : opt.axes[1].values) {
       for (int s = 0; s < opt.seeds; ++s) {
-        BusScenarioParams params = opt.base;
-        params.protocol.name = protocol;
-        params.node_count = nodes;
-        params.seed = opt.seed_base + static_cast<std::uint64_t>(s);
-        const ScenarioResult fresh = run_bus_scenario(params);
-        const ScenarioResult reused = runner.run(params);
-        SCOPED_TRACE(protocol + "/n=" + std::to_string(nodes) +
-                     "/seed=" + std::to_string(params.seed));
+        ScenarioSpec spec = opt.base;
+        apply_override(spec, "protocol.name", protocol);
+        apply_override(spec, "scenario.nodes", nodes);
+        spec.seed = opt.seed_base + static_cast<std::uint64_t>(s);
+        const ScenarioResult fresh = run_scenario(spec);
+        const ScenarioResult reused = runner.run(spec);
+        SCOPED_TRACE(protocol + "/n=" + nodes + "/seed=" + std::to_string(spec.seed));
         EXPECT_EQ(fresh.metrics.created(), reused.metrics.created());
         EXPECT_EQ(fresh.metrics.delivered(), reused.metrics.delivered());
         EXPECT_EQ(fresh.metrics.relayed(), reused.metrics.relayed());

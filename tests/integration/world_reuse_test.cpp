@@ -17,24 +17,22 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "mobility/community_movement.hpp"
 #include "routing/factory.hpp"
 #include "sim/world.hpp"
+#include "test_support.hpp"
 
 namespace dtn::harness {
 namespace {
 
-CommunityScenarioParams community_base(const std::string& protocol,
-                                       std::uint64_t seed) {
-  CommunityScenarioParams p;
-  p.node_count = 24;
-  p.communities = 3;
-  p.world_size_m = 900.0;
-  p.duration_s = 1500.0;
-  p.seed = seed;
-  p.traffic.ttl = 600.0;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec community_base(const std::string& protocol, std::uint64_t seed) {
+  ScenarioSpec spec = test::community_spec(24, 3, 900.0);
+  spec.duration_s = 1500.0;
+  spec.seed = seed;
+  spec.traffic.ttl = 600.0;
+  spec.protocol.name = protocol;
+  spec.protocol.copies = 6;
+  return spec;
 }
 
 void expect_same_run(const ScenarioResult& a, const ScenarioResult& b,
@@ -58,52 +56,54 @@ TEST(WorldReuse, RebuiltWorldMatchesFreshAcrossAllProtocolsAndSeeds) {
   ScenarioRunner runner;  // ONE world for all 12 protocols x 2 seeds
   for (const std::string& protocol : routing::known_protocols()) {
     for (const std::uint64_t seed : {11ull, 12ull}) {
-      const CommunityScenarioParams params = community_base(protocol, seed);
-      const ScenarioResult fresh = run_community_scenario(params);
-      const ScenarioResult reused = runner.run(params);
+      const ScenarioSpec spec = community_base(protocol, seed);
+      const ScenarioResult fresh = run_scenario(spec);
+      const ScenarioResult reused = runner.run(spec);
       expect_same_run(fresh, reused,
                       protocol + "/seed=" + std::to_string(seed));
     }
   }
 }
 
-/// Builds the community scenario directly on `world` (fresh or reused via
-/// reset()); mirrors run_community_scenario so reseed() can be exercised
-/// on a structure that is seed-independent.
-void build_community_world(sim::World& world, const CommunityScenarioParams& params,
+/// Builds the single-group community spec directly on `world` (fresh or
+/// reused via reset()); mirrors what ScenarioRunner::run builds for it so
+/// reseed() can be exercised on a structure that is seed-independent.
+void build_community_world(sim::World& world, const ScenarioSpec& spec,
                            bool add_traffic = true) {
-  const int l = params.communities;
-  const double band = params.world_size_m / static_cast<double>(l);
-  std::vector<int> cid(static_cast<std::size_t>(params.node_count));
-  for (int v = 0; v < params.node_count; ++v) cid[static_cast<std::size_t>(v)] = v % l;
+  const int l = spec.communities.count;
+  const double size = spec.map.params.width;
+  const double band = size / static_cast<double>(l);
+  const int nodes = spec.node_count();
+  std::vector<int> cid(static_cast<std::size_t>(nodes));
+  for (int v = 0; v < nodes; ++v) cid[static_cast<std::size_t>(v)] = v % l;
   auto communities = std::make_shared<const core::CommunityTable>(cid);
-  routing::ProtocolConfig protocol = params.protocol;
+  routing::ProtocolConfig protocol = spec.protocol;
   protocol.communities = communities;
-  for (int v = 0; v < params.node_count; ++v) {
+  for (int v = 0; v < nodes; ++v) {
     const int c = cid[static_cast<std::size_t>(v)];
     mobility::CommunityMovementParams mp;
     mp.world_min = {0.0, 0.0};
-    mp.world_max = {params.world_size_m, params.world_size_m};
+    mp.world_max = {size, size};
     mp.home_min = {band * c, 0.0};
-    mp.home_max = {band * (c + 1), params.world_size_m};
-    mp.home_prob = params.home_prob;
+    mp.home_max = {band * (c + 1), size};
+    mp.home_prob = spec.groups[0].params.community.home_prob;
     world.add_node(mp, routing::create_router(protocol));
   }
   if (!add_traffic) return;
-  sim::TrafficParams traffic = params.traffic;
-  traffic.stop = params.duration_s - traffic.ttl;
+  sim::TrafficParams traffic = spec.traffic;
+  traffic.stop = spec.duration_s - traffic.ttl;
   world.set_traffic(traffic);
 }
 
 TEST(WorldReuse, ReseedMatchesFreshBuildAcrossAllProtocols) {
   for (const std::string& protocol : routing::known_protocols()) {
     SCOPED_TRACE(protocol);
-    const CommunityScenarioParams first = community_base(protocol, 21);
-    const CommunityScenarioParams second = community_base(protocol, 22);
+    const ScenarioSpec first = community_base(protocol, 21);
+    const ScenarioSpec second = community_base(protocol, 22);
 
     // Reference: two fresh worlds.
-    const ScenarioResult fresh_a = run_community_scenario(first);
-    const ScenarioResult fresh_b = run_community_scenario(second);
+    const ScenarioResult fresh_a = run_scenario(first);
+    const ScenarioResult fresh_b = run_scenario(second);
 
     // Reused: one world, built once, reseeded between the runs — same
     // router INSTANCES carried across, cleared only by Router::reset().
@@ -133,20 +133,20 @@ TEST(WorldReuse, ReseedMatchesFreshBuildAcrossAllProtocols) {
 }
 
 TEST(WorldReuse, ReseedToSameSeedReproducesTheRun) {
-  const CommunityScenarioParams params = community_base("EER", 31);
-  sim::WorldConfig config = params.world;
-  config.seed = params.seed;
+  const ScenarioSpec spec = community_base("EER", 31);
+  sim::WorldConfig config = spec.world;
+  config.seed = spec.seed;
   sim::World world(config);
-  build_community_world(world, params);
+  build_community_world(world, spec);
   // Per-group buckets ride along: reseed() keeps the node set, so the
   // installed map must survive it (counters re-zeroed); a structure-
   // changing reset() must uninstall it.
-  std::vector<int> node_group(static_cast<std::size_t>(params.node_count));
-  for (int v = 0; v < params.node_count; ++v) {
+  std::vector<int> node_group(static_cast<std::size_t>(spec.node_count()));
+  for (int v = 0; v < spec.node_count(); ++v) {
     node_group[static_cast<std::size_t>(v)] = v % 2;
   }
   world.metrics().set_groups(node_group, 2);
-  world.run(params.duration_s);
+  world.run(spec.duration_s);
   const auto created = world.metrics().created();
   const auto delivered = world.metrics().delivered();
   const auto relayed = world.metrics().relayed();
@@ -157,8 +157,8 @@ TEST(WorldReuse, ReseedToSameSeedReproducesTheRun) {
   const auto g1_created = world.metrics().group_created(1);
   EXPECT_EQ(g0_created + g1_created, created);
 
-  world.reseed(params.seed);
-  world.run(params.duration_s);
+  world.reseed(spec.seed);
+  world.run(spec.duration_s);
   EXPECT_EQ(world.metrics().created(), created);
   EXPECT_EQ(world.metrics().delivered(), delivered);
   EXPECT_EQ(world.metrics().relayed(), relayed);
@@ -177,10 +177,10 @@ TEST(WorldReuse, ReseedDirectlyAfterShrinkingRebuildFinalizesFirst) {
   // reset()+add_node rebuild to FEWER nodes followed immediately by
   // reseed() — no run in between — must trim the surplus slots, not index
   // the cleared movement lanes out of bounds.
-  CommunityScenarioParams big = community_base("Epidemic", 51);
-  big.node_count = 30;
-  CommunityScenarioParams small = big;
-  small.node_count = 12;
+  ScenarioSpec big = community_base("Epidemic", 51);
+  big.groups[0].count = 30;
+  ScenarioSpec small = big;
+  small.groups[0].count = 12;
 
   sim::WorldConfig config = big.world;
   config.seed = big.seed;
@@ -200,9 +200,9 @@ TEST(WorldReuse, ReseedDirectlyAfterShrinkingRebuildFinalizesFirst) {
   world.set_traffic(traffic);  // derives from config_.seed == 52
   world.run(small.duration_s);
 
-  CommunityScenarioParams fresh_params = small;
-  fresh_params.seed = 52;
-  const ScenarioResult fresh = run_community_scenario(fresh_params);
+  ScenarioSpec fresh_spec = small;
+  fresh_spec.seed = 52;
+  const ScenarioResult fresh = run_scenario(fresh_spec);
   EXPECT_EQ(world.node_count(), 12);
   EXPECT_EQ(world.metrics().created(), fresh.metrics.created());
   EXPECT_EQ(world.metrics().delivered(), fresh.metrics.delivered());
@@ -216,11 +216,11 @@ TEST(WorldReuse, RebuildAcrossDifferentNodeCountsAndBufferSizes) {
   ScenarioRunner runner;
   for (const int nodes : {30, 12, 40}) {
     for (const std::int64_t buffer : {std::int64_t{1} << 20, std::int64_t{128} * 1024}) {
-      CommunityScenarioParams params = community_base("Epidemic", 41);
-      params.node_count = nodes;
-      params.world.buffer_bytes = buffer;
-      const ScenarioResult fresh = run_community_scenario(params);
-      const ScenarioResult reused = runner.run(params);
+      ScenarioSpec spec = community_base("Epidemic", 41);
+      spec.groups[0].count = nodes;
+      spec.world.buffer_bytes = buffer;
+      const ScenarioResult fresh = run_scenario(spec);
+      const ScenarioResult reused = runner.run(spec);
       expect_same_run(fresh, reused,
                       "n=" + std::to_string(nodes) + "/buf=" + std::to_string(buffer));
     }

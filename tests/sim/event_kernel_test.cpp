@@ -17,6 +17,7 @@
 #include "mobility/community_movement.hpp"
 #include "routing/factory.hpp"
 #include "sim/world.hpp"
+#include "test_support.hpp"
 
 namespace dtn::sim {
 namespace {
@@ -201,16 +202,15 @@ TEST(EventKernel, ReseedKeepsTheKernelBitIdentical) {
 TEST(EventKernel, BusWorkloadFallsBackToFixedDt) {
   // Bus trajectories have no closed-form segment API; event_kernel = true
   // must silently decline and produce the fixed-dt bits.
-  harness::BusScenarioParams params;
-  params.node_count = 30;
-  params.duration_s = 1200.0;
-  params.traffic.ttl = 600.0;
-  params.seed = 7;
-  params.protocol.name = "Epidemic";
-  const harness::ScenarioResult fixed = harness::run_bus_scenario(params);
+  harness::ScenarioSpec spec = test::bus_spec(30);
+  spec.duration_s = 1200.0;
+  spec.traffic.ttl = 600.0;
+  spec.seed = 7;
+  spec.protocol.name = "Epidemic";
+  const harness::ScenarioResult fixed = harness::run_scenario(spec);
 
-  params.world.event_kernel = true;
-  const harness::ScenarioResult declined = harness::run_bus_scenario(params);
+  spec.world.event_kernel = true;
+  const harness::ScenarioResult declined = harness::run_scenario(spec);
 
   EXPECT_EQ(fixed.metrics.created(), declined.metrics.created());
   EXPECT_EQ(fixed.metrics.delivered(), declined.metrics.delivered());

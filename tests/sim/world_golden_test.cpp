@@ -21,6 +21,7 @@
 
 #include "harness/scenario.hpp"
 #include "routing/factory.hpp"
+#include "test_support.hpp"
 
 namespace dtn::sim {
 namespace {
@@ -78,34 +79,34 @@ constexpr Golden kGolden[] = {
 };
 // clang-format on
 
-harness::BusScenarioParams params_for(const Golden& g) {
-  harness::BusScenarioParams p;
-  p.seed = g.seed;
-  p.map.rows = 5;
-  p.map.cols = 6;
-  p.map.districts = 2;
-  p.map.routes_per_district = 2;
-  p.protocol.name = g.protocol;
-  p.protocol.copies = 6;
+harness::ScenarioSpec spec_for(const Golden& g) {
+  harness::ScenarioSpec spec = test::bus_spec();
+  spec.seed = g.seed;
+  spec.map.params.downtown.rows = 5;
+  spec.map.params.downtown.cols = 6;
+  spec.map.params.downtown.districts = 2;
+  spec.map.params.downtown.routes_per_district = 2;
+  spec.protocol.name = g.protocol;
+  spec.protocol.copies = 6;
   if (g.workload == kSmallBuffers) {
-    p.node_count = 14;
-    p.duration_s = 600.0;
-    p.traffic.interval_min = 6.0;
-    p.traffic.interval_max = 10.0;
-    p.traffic.ttl = 200.0;
-    p.full_ttl_window = false;  // keep generating until the end
-    p.world.buffer_bytes = 100 * 1024;
+    spec.groups[0].count = 14;
+    spec.duration_s = 600.0;
+    spec.traffic.interval_min = 6.0;
+    spec.traffic.interval_max = 10.0;
+    spec.traffic.ttl = 200.0;
+    spec.full_ttl_window = false;  // keep generating until the end
+    spec.world.buffer_bytes = 100 * 1024;
   } else {
-    p.node_count = 16;
-    p.duration_s = 900.0;
-    p.traffic.ttl = 300.0;  // full_ttl_window needs ttl < duration
+    spec.groups[0].count = 16;
+    spec.duration_s = 900.0;
+    spec.traffic.ttl = 300.0;  // full_ttl_window needs ttl < duration
   }
-  return p;
+  return spec;
 }
 
 TEST(WorldGolden, BusRunsMatchPinnedMetrics) {
   for (const Golden& g : kGolden) {
-    const harness::ScenarioResult run = harness::run_bus_scenario(params_for(g));
+    const harness::ScenarioResult run = harness::run_scenario(spec_for(g));
     const Metrics& m = run.metrics;
     const std::string where = std::string(g.protocol) + " seed " +
                               std::to_string(g.seed) +

@@ -1,13 +1,16 @@
 // Shared helpers for simulator and routing tests: a recording router that
-// exposes the protected Router API, and world builders with scripted
-// (trace-driven) movement so contact timing is exact and deterministic.
+// exposes the protected Router API, world builders with scripted
+// (trace-driven) movement so contact timing is exact and deterministic,
+// and the two single-group scenario specs the harness tests start from.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/trace.hpp"
+#include "harness/spec.hpp"
 #include "mobility/movement_model.hpp"
 #include "mobility/trace_playback.hpp"
 #include "sim/router.hpp"
@@ -99,6 +102,39 @@ inline sim::Message make_message(sim::MsgId id, sim::NodeIdx src, sim::NodeIdx d
   m.ttl = ttl;
   m.size_bytes = kb * 1024;
   return m;
+}
+
+/// The paper's bus world (Sec. V-A): a downtown map and one group `buses`
+/// of `nodes` bus nodes; every other field at its default.
+inline harness::ScenarioSpec bus_spec(int nodes = 120) {
+  harness::ScenarioSpec spec;
+  spec.name = "bus";
+  harness::GroupSpec group;
+  group.name = "buses";
+  group.model = "bus";
+  group.count = nodes;
+  spec.groups.push_back(std::move(group));
+  return spec;
+}
+
+/// The community random-waypoint world: a square open field of side
+/// `world_size_m`, tiled into `communities` bands, and one group `walkers`
+/// of `nodes` community nodes; 8000 s, every other field at its default.
+inline harness::ScenarioSpec community_spec(int nodes = 80, int communities = 4,
+                                            double world_size_m = 2400.0) {
+  harness::ScenarioSpec spec;
+  spec.name = "community";
+  spec.duration_s = 8000.0;
+  spec.map.kind = "open_field";
+  spec.map.params.width = world_size_m;
+  spec.map.params.height = world_size_m;
+  harness::GroupSpec group;
+  group.name = "walkers";
+  group.model = "community";
+  group.count = nodes;
+  spec.groups.push_back(std::move(group));
+  spec.communities.count = communities;
+  return spec;
 }
 
 }  // namespace dtn::test
