@@ -26,12 +26,13 @@ void register_benchmarks() {
           "AblationAlpha/" + protocol + "/alpha:" + dtn::util::format_double(alpha, 2);
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [protocol, alpha, nodes, scale](benchmark::State& state) {
-            dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-            dtn::harness::apply_override(spec, "protocol.name", protocol);
-            dtn::harness::apply_override(spec, "protocol.alpha", dtn::util::format_value(alpha));
-            dtn::harness::apply_override(spec, "protocol.copies", "10");
-            dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
+          [base = dtn::bench::checked_spec(
+               scale, {{"protocol.name", protocol},
+                       {"protocol.alpha", dtn::util::format_value(alpha)},
+                       {"protocol.copies", "10"},
+                       {"scenario.nodes", std::to_string(nodes)}}),
+           protocol, alpha, nodes](benchmark::State& state) {
+            dtn::harness::ScenarioSpec spec = base;
             dtn::harness::PointResult point;
             point.protocol = protocol;
             point.node_count = nodes;

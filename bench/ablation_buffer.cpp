@@ -30,15 +30,17 @@ void register_benchmarks() {
                                "/MB:" + dtn::util::format_double(mb, 1);
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [protocol, mb, nodes, scale](benchmark::State& state) {
-            dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-            dtn::harness::apply_override(spec, "protocol.name", protocol);
-            dtn::harness::apply_override(spec, "protocol.copies", "10");
-            dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
-            dtn::harness::apply_override(spec, "world.buffer_bytes",
-                            std::to_string(static_cast<std::int64_t>(mb * 1024 * 1024)));
-            dtn::harness::apply_override(spec, "traffic.interval_min", "5");  // ~5x the paper's load
-            dtn::harness::apply_override(spec, "traffic.interval_max", "8");
+          [base = dtn::bench::checked_spec(
+               scale,
+               {{"protocol.name", protocol},
+                {"protocol.copies", "10"},
+                {"scenario.nodes", std::to_string(nodes)},
+                {"world.buffer_bytes",
+                 std::to_string(static_cast<std::int64_t>(mb * 1024 * 1024))},
+                {"traffic.interval_min", "5"},  // ~5x the paper's load
+                {"traffic.interval_max", "8"}}),
+           protocol, mb](benchmark::State& state) {
+            dtn::harness::ScenarioSpec spec = base;
             dtn::harness::PointResult point;
             std::uint64_t seed = 1000;
             for (auto _ : state) {

@@ -19,21 +19,14 @@ struct Row {
 };
 std::vector<Row> g_rows;
 
-void run_variant(benchmark::State& state, const std::string& variant, int nodes,
-                 const BenchScale& scale) {
-  dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-  dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
-  dtn::harness::apply_override(spec, "protocol.copies", "10");
+void run_variant(benchmark::State& state, const std::string& variant,
+                 dtn::harness::ScenarioSpec spec) {
   dtn::harness::PointResult point;
   double communities_found = 0.0;
   std::uint64_t seed = 1000;
   for (auto _ : state) {
     spec.seed = seed++;
-    if (variant == "CR-groundtruth") {
-      dtn::harness::apply_override(spec, "protocol.name", "CR");
-      spec.communities_override = nullptr;
-    } else if (variant == "CR-detected") {
-      dtn::harness::apply_override(spec, "protocol.name", "CR");
+    if (variant == "CR-detected") {
       dtn::core::DetectionParams detection;
       detection.familiar_threshold = 4;
       spec.communities_override =
@@ -41,9 +34,6 @@ void run_variant(benchmark::State& state, const std::string& variant, int nodes,
               dtn::harness::detect_spec_communities(spec, detection,
                                                     /*warmup_s=*/1500.0));
       communities_found += spec.communities_override->community_count();
-    } else {
-      dtn::harness::apply_override(spec, "protocol.name", "EER");
-      spec.communities_override = nullptr;
     }
     const auto r = dtn::bench::point_runner().run(spec);
     point.delivery_ratio.add(r.metrics.delivery_ratio());
@@ -64,9 +54,11 @@ void register_benchmarks() {
   for (const std::string variant : {"CR-groundtruth", "CR-detected", "EER"}) {
     benchmark::RegisterBenchmark(
         ("AblationCommunities/" + variant).c_str(),
-        [variant, nodes, scale](benchmark::State& state) {
-          run_variant(state, variant, nodes, scale);
-        })
+        [variant, spec = dtn::bench::checked_spec(
+                      scale, {{"scenario.nodes", std::to_string(nodes)},
+                              {"protocol.copies", "10"},
+                              {"protocol.name", variant == "EER" ? "EER" : "CR"}})](
+            benchmark::State& state) { run_variant(state, variant, spec); })
         ->Iterations(scale.seeds)
         ->Unit(benchmark::kSecond);
   }

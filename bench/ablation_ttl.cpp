@@ -25,12 +25,13 @@ void register_benchmarks() {
                                "/ttl:" + std::to_string(static_cast<int>(ttl));
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [protocol, ttl, nodes, scale](benchmark::State& state) {
-            dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-            dtn::harness::apply_override(spec, "protocol.name", protocol);
-            dtn::harness::apply_override(spec, "protocol.copies", "10");
-            dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
-            dtn::harness::apply_override(spec, "traffic.ttl", dtn::util::format_value(ttl));
+          [base = dtn::bench::checked_spec(
+               scale, {{"protocol.name", protocol},
+                       {"protocol.copies", "10"},
+                       {"scenario.nodes", std::to_string(nodes)},
+                       {"traffic.ttl", dtn::util::format_value(ttl)}}),
+           protocol, ttl](benchmark::State& state) {
+            dtn::harness::ScenarioSpec spec = base;
             dtn::harness::PointResult point;
             std::uint64_t seed = 1000;
             for (auto _ : state) {

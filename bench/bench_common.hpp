@@ -23,11 +23,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "harness/spec.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 #include "util/flags.hpp"
@@ -72,6 +75,24 @@ inline harness::ScenarioSpec paper_spec(const BenchScale& scale) {
   buses.count = 120;
   spec.groups.push_back(std::move(buses));
   return spec;
+}
+
+/// The paper spec at `scale` with `overrides` (key, value) applied and
+/// validated. Figures call this while registering their benchmarks, so an
+/// invalid spec (say, a DTN_BENCH_DURATION shorter than the TTL) prints its
+/// diagnostic and exits 1 before any benchmark runs, instead of throwing
+/// out of a benchmark body and terminating the binary.
+inline harness::ScenarioSpec checked_spec(
+    const BenchScale& scale, const std::vector<std::pair<std::string, std::string>>& overrides) {
+  try {
+    harness::ScenarioSpec spec = paper_spec(scale);
+    for (const auto& [key, value] : overrides) harness::apply_override(spec, key, value);
+    harness::validate_spec(spec);
+    return spec;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "invalid benchmark spec: %s\n", e.what());
+    std::exit(1);
+  }
 }
 
 /// Accumulates per-point results so the figure tables can be printed after

@@ -25,6 +25,14 @@
 // metrics — the kernel's contract (also enforced by sim_event_kernel_test)
 // — cross-checked FATALly before any number is reported.
 //
+// A fourth section runs the paper's own protocols on the paper's bus
+// world (examples/helsinki_buses.cfg): EER and CR at n in {100, 200, 400}
+// over 2000 s, each point in a forked child so its peak RSS is its own.
+// Besides wall time and peak RSS it reports the exact work of the routers'
+// shortest-path searches (calls, vertices settled, edges relaxed, summed
+// over routers), host-independent counts that bench_smoke gates on the
+// --smoke point.
+//
 // Flags: --steps N (timed steps, default 1500), --warmup N (default 300),
 //        --out PATH (default BENCH_world_step.json), --smoke (tiny sizes
 //        for CI: bench_smoke runs `bench_world_step --steps 200 --smoke`).
@@ -40,7 +48,15 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "harness/scenario.hpp"
+#include "harness/spec_io.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "routing/cr.hpp"
+#include "routing/eer.hpp"
 #include "routing/epidemic.hpp"
 #include "sim/world.hpp"
 #include "util/flags.hpp"
@@ -212,6 +228,69 @@ double allocs_per_step(int nodes, bool with_traffic, int warmup, int steps,
   return static_cast<double>(g_allocs.load()) / steps;
 }
 
+struct PaperPoint {
+  double wall_s = 0.0;
+  double peak_rss_mb = 0.0;
+  core::DijkstraCounters dijkstra;  ///< summed over the EER / CR routers
+};
+
+/// Runs the bus scenario for `protocol` at `nodes` buses over `duration`
+/// simulated seconds in a forked child: the child times ScenarioRunner::run
+/// (map build included), sums its routers' Dijkstra counters and pipes
+/// them back; the parent takes the reaped child's peak RSS.
+bool run_paper_point(const std::string& protocol, int nodes, double duration,
+                     PaperPoint& out) {
+  int fds[2];
+  if (pipe(fds) != 0) return false;
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return false;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    try {
+      const harness::ScenarioSpec spec = harness::load_spec_with_overrides(
+          std::string(DTN_EXAMPLES_DIR) + "/helsinki_buses.cfg",
+          {"protocol.name=" + protocol, "group.buses.count=" + std::to_string(nodes),
+           "scenario.duration=" + std::to_string(duration)});
+      harness::ScenarioRunner runner;
+      PaperPoint point;
+      const auto t0 = std::chrono::steady_clock::now();
+      runner.run(spec);
+      point.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                         .count();
+      const sim::World& world = *runner.world();
+      for (sim::NodeIdx v = 0; v < world.node_count(); ++v) {
+        const core::DijkstraCounters* c = nullptr;
+        if (const auto* eer = dynamic_cast<const routing::EerRouter*>(&world.router_of(v))) {
+          c = &eer->dijkstra_counters();
+        } else if (const auto* cr = dynamic_cast<const routing::CrRouter*>(&world.router_of(v))) {
+          c = &cr->dijkstra_counters();
+        }
+        if (c == nullptr) continue;
+        point.dijkstra.calls += c->calls;
+        point.dijkstra.settled += c->settled;
+        point.dijkstra.relaxed += c->relaxed;
+      }
+      const bool sent = write(fds[1], &point, sizeof point) == sizeof point;
+      _exit(sent ? 0 : 1);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "paper point %s n=%d: %s\n", protocol.c_str(), nodes, e.what());
+      _exit(1);
+    }
+  }
+  close(fds[1]);
+  const bool got = read(fds[0], &out, sizeof out) == sizeof out;
+  close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  if (wait4(pid, &status, 0, &usage) != pid) return false;
+  out.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  return got && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
 }  // namespace dtn::bench
 
 int main(int argc, char** argv) {
@@ -246,7 +325,59 @@ int main(int argc, char** argv) {
   }
   json += "  \"steps\": " + std::to_string(steps) +
           ", \"warmup\": " + std::to_string(warmup) +
-          ", \"trials\": " + std::to_string(trials) + ",\n  \"points\": [\n";
+          ", \"trials\": " + std::to_string(trials) + ",\n";
+
+  // ---- the paper's protocols on the paper's bus world ----
+  // First, while this process is small: each point forks from it.
+  struct PaperCase {
+    const char* protocol;
+    int nodes;
+  };
+  const std::vector<PaperCase> paper_cases =
+      smoke ? std::vector<PaperCase>{{"EER", 80}}
+            : std::vector<PaperCase>{{"EER", 100}, {"EER", 200}, {"EER", 400},
+                                     {"CR", 100},  {"CR", 200},  {"CR", 400}};
+  const double paper_duration = smoke ? 1500.0 : 2000.0;
+  {
+    char head[256];
+    std::snprintf(head, sizeof(head),
+                  "  \"paper_protocols\": {\n    \"workload\": \"examples/"
+                  "helsinki_buses.cfg, %.0f s, seed 1, one forked process per "
+                  "point\",\n    \"host_cores\": %ld,\n    \"points\": [\n",
+                  paper_duration, sysconf(_SC_NPROCESSORS_ONLN));
+    json += head;
+  }
+  for (std::size_t i = 0; i < paper_cases.size(); ++i) {
+    const PaperCase& c = paper_cases[i];
+    std::printf("paper %s n=%d ...\n", c.protocol, c.nodes);
+    std::fflush(stdout);
+    bench::PaperPoint point;
+    if (!bench::run_paper_point(c.protocol, c.nodes, paper_duration, point)) {
+      std::fprintf(stderr, "FATAL: paper point %s n=%d failed\n", c.protocol, c.nodes);
+      return 1;
+    }
+    std::printf("%-4s n=%-4d %7.2f s | %6.1f MB | dijkstra %llu calls, %llu settled, "
+                "%llu relaxed\n",
+                c.protocol, c.nodes, point.wall_s, point.peak_rss_mb,
+                static_cast<unsigned long long>(point.dijkstra.calls),
+                static_cast<unsigned long long>(point.dijkstra.settled),
+                static_cast<unsigned long long>(point.dijkstra.relaxed));
+    std::fflush(stdout);
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"protocol\": \"%s\", \"nodes\": %d, \"wall_s\": %.3f, "
+                  "\"peak_rss_mb\": %.1f, \"dijkstra_calls\": %llu, "
+                  "\"dijkstra_settled\": %llu, \"dijkstra_relaxed\": %llu}%s\n",
+                  c.protocol, c.nodes, point.wall_s, point.peak_rss_mb,
+                  static_cast<unsigned long long>(point.dijkstra.calls),
+                  static_cast<unsigned long long>(point.dijkstra.settled),
+                  static_cast<unsigned long long>(point.dijkstra.relaxed),
+                  i + 1 < paper_cases.size() ? "," : "");
+    json += buf;
+  }
+  json += "    ]\n  },\n";
+
+  json += "  \"points\": [\n";
 
   for (std::size_t i = 0; i < node_counts.size(); ++i) {
     const int n = node_counts[i];

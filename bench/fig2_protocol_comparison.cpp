@@ -22,15 +22,14 @@ void register_benchmarks() {
   for (const auto& protocol : lineup()) {
     for (const int nodes : scale.node_counts) {
       const std::string name = "Fig2/" + protocol + "/nodes:" + std::to_string(nodes);
+      const dtn::harness::ScenarioSpec spec = dtn::bench::checked_spec(
+          scale, {{"protocol.name", protocol},
+                  {"protocol.copies", "10"},  // λ = 10 (paper Sec. V-B)
+                  {"scenario.nodes", std::to_string(nodes)}});
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [protocol, nodes, scale](benchmark::State& state) {
-            dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-            dtn::harness::apply_override(spec, "protocol.name", protocol);
-            dtn::harness::apply_override(spec, "protocol.copies", "10");  // λ = 10 (paper Sec. V-B)
-            dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
-            dtn::bench::run_point_benchmark(state, spec, &g_collector,
-                                            protocol);
+          [spec, protocol](benchmark::State& state) {
+            dtn::bench::run_point_benchmark(state, spec, &g_collector, protocol);
           })
           ->Iterations(scale.seeds)
           ->Unit(benchmark::kSecond);

@@ -16,13 +16,13 @@ void register_benchmarks() {
     for (const int nodes : scale.node_counts) {
       const std::string name =
           "Fig3/EER/lambda:" + std::to_string(lambda) + "/nodes:" + std::to_string(nodes);
+      const dtn::harness::ScenarioSpec spec = dtn::bench::checked_spec(
+          scale, {{"protocol.name", "EER"},
+                  {"protocol.copies", std::to_string(lambda)},
+                  {"scenario.nodes", std::to_string(nodes)}});
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [lambda, nodes, scale](benchmark::State& state) {
-            dtn::harness::ScenarioSpec spec = dtn::bench::paper_spec(scale);
-            dtn::harness::apply_override(spec, "protocol.name", "EER");
-            dtn::harness::apply_override(spec, "protocol.copies", std::to_string(lambda));
-            dtn::harness::apply_override(spec, "scenario.nodes", std::to_string(nodes));
+          [spec, lambda](benchmark::State& state) {
             dtn::bench::run_point_benchmark(state, spec, &g_collector,
                                             "lambda=" + std::to_string(lambda));
           })

@@ -44,7 +44,8 @@ run_bench(bench_sweep ${BENCH_SWEEP} --smoke
 set(WORLD_STEP_FIELDS
     bench workload steps points incremental_steps_per_sec contact_events
     buffer_pressure slab_steps_per_sec event_kernel fixed_steps_per_sec
-    event_steps_per_sec speedup allocs_per_step)
+    event_steps_per_sec speedup allocs_per_step paper_protocols wall_s
+    peak_rss_mb dijkstra_calls dijkstra_settled dijkstra_relaxed)
 set(SWEEP_FIELDS
     bench campaign runs reused_runs_per_sec reused_points_per_sec
     parallel_runs_per_sec aggregates_identical allocs_per_reused_seed
@@ -64,4 +65,19 @@ if(NOT smoke_events STREQUAL expected_events)
   message(FATAL_ERROR
           "bench_smoke: bench_world_step smoke contact_events are "
           "\"${smoke_events}\", expected \"${expected_events}\"")
+endif()
+
+# The smoke paper point (EER, 80 buses, 1500 s) is just as fixed: the
+# routers' summed shortest-path work is an exact count. A kernel change that
+# settles or relaxes more (or fewer) vertices must re-pin it on purpose.
+foreach(counter calls settled relaxed)
+  string(REGEX MATCH "\"dijkstra_${counter}\": [0-9]+" match "${smoke_world_step}")
+  string(REGEX REPLACE "\"dijkstra_${counter}\": " "" value "${match}")
+  list(APPEND smoke_dijkstra "${value}")
+endforeach()
+set(expected_dijkstra "1568;34062;144059")
+if(NOT smoke_dijkstra STREQUAL expected_dijkstra)
+  message(FATAL_ERROR
+          "bench_smoke: bench_world_step smoke dijkstra calls;settled;relaxed are "
+          "\"${smoke_dijkstra}\", expected \"${expected_dijkstra}\"")
 endif()

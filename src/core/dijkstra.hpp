@@ -1,54 +1,69 @@
-// Dense single-source Dijkstra over an n×n non-negative delay matrix.
-// O(n²), no heap: for the full dense matrices MD produces, the simple
-// quadratic form beats a binary-heap version. Theorem 3 of the paper:
-// running this over the MD matrix yields the minimum expected meeting
-// delay (MEMD).
+// The one shortest-path kernel: MEMD (Theorem 3, Dijkstra over MD), MEED,
+// CR's MEMD' and MaxProp. The graph is an MiMatrix with the source row
+// replaced by the caller's sparse row (core/mi_matrix.hpp), so MD is never
+// materialised. Entry (u, v) is edge u->v (+inf = none), an unknown row has
+// no out-edges, the diagonal is never read, negative weights clamp to 0.
 //
-// The kernel reads the graph as a row view, one pointer per node, so MD
-// never has to be materialised: the routers point every row but their own
-// at the shared MI rows and only compute their Theorem-2 row.
+// An indexed binary heap walks only the rows' column indexes, so a settled
+// vertex costs O(n/64 + out-degree), not O(n): MI on route-bound buses is
+// about 95% empty. settle_until(dst) stops once dst is final and a later
+// call resumes the search. Neither early stopping nor heap tie order moves
+// a bit of dist: a final dist[v] is the exact minimum of the candidates
+// fl(dist[u] + w(u,v)), and any vertex settled after v has dist >= dist[v].
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
+#include "core/mi_matrix.hpp"
+
 namespace dtn::core {
 
-using NodeIdx = std::int32_t;
+/// Exact work counts, summed over every search a workspace ran.
+struct DijkstraCounters {
+  std::uint64_t calls = 0;    ///< start() calls
+  std::uint64_t settled = 0;  ///< vertices made final
+  std::uint64_t relaxed = 0;  ///< out-edges scanned from settled vertices
+};
+
+/// One resumable search. The heap holds each vertex at most once, so every
+/// buffer is bounded by n; a workspace reused at the same n allocates
+/// nothing.
+class DijkstraWorkspace {
+ public:
+  /// Begins a search from src over `graph` with `src_row` (a sparse row, or
+  /// nullptr for none) in place of graph's row src. Both must stay alive
+  /// and unchanged until the next start().
+  void start(const MiMatrix& graph, NodeIdx src, const double* src_row);
+  /// Settles until dst (< n) is final; returns dist[dst] (+inf = unreachable).
+  double settle_until(NodeIdx dst);
+  /// Settles every reachable vertex; returns dist (n entries).
+  const std::vector<double>& settle_all();
+
+  DijkstraCounters counters;
+
+ private:
+  void settle_next();
+  [[nodiscard]] double key(std::size_t at) const;
+  void place(std::size_t at, NodeIdx v);
+  void sift_up(std::size_t at);
+  void sift_down(std::size_t at);
+
+  const MiMatrix* graph_ = nullptr;
+  NodeIdx src_ = 0;
+  const double* src_row_ = nullptr;
+  std::vector<double> dist_;
+  std::vector<NodeIdx> heap_;  ///< min-heap of vertices, keyed by dist_
+  std::vector<NodeIdx> slot_;  ///< heap position, or kUnseen / kSettled
+};
 
 struct DijkstraResult {
-  std::vector<double> dist;     ///< dist[v] = shortest delay src -> v
-  std::vector<NodeIdx> parent;  ///< parent[v] on the shortest path tree, -1 at src/unreached
-
-  [[nodiscard]] bool reachable(NodeIdx v) const {
-    return dist.at(static_cast<std::size_t>(v)) !=
-           std::numeric_limits<double>::infinity();
-  }
+  std::vector<double> dist;  ///< dist[v] = shortest delay src -> v
 };
-
-/// Caller-owned buffers for dijkstra_rows. A workspace reused across calls
-/// of the same n allocates nothing.
-struct DijkstraWorkspace {
-  DijkstraResult result;
-  std::vector<unsigned char> done;
-};
-
-/// Row view: n = rows.size(); rows[u][v] = edge weight u->v (+inf = no
-/// edge), and a null rows[u] means u has no out-edges. Diagonal entries
-/// are never read. Negative weights are clamped to 0. Writes into and
-/// returns `ws.result`.
-const DijkstraResult& dijkstra_rows(std::span<const double* const> rows, NodeIdx src,
-                                    DijkstraWorkspace& ws);
 
 /// `delay` is row-major n×n; delay[i*n+j] = edge weight i->j (+inf = no
-/// edge). Negative weights are clamped to 0 (expected delays are
-/// non-negative by construction; the clamp guards rounding). Runs
-/// dijkstra_rows over the matrix's rows.
+/// edge). Copies the finite entries into sparse rows and settles them all.
 DijkstraResult dijkstra_dense(std::span<const double> delay, NodeIdx n, NodeIdx src);
-
-/// Reconstructs the path src -> dst (inclusive); empty if unreachable.
-std::vector<NodeIdx> extract_path(const DijkstraResult& result, NodeIdx src, NodeIdx dst);
 
 }  // namespace dtn::core

@@ -1,6 +1,7 @@
 #include "core/estimators.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -125,6 +126,14 @@ double expected_encountering_communities(const ContactHistory& history,
     enec += community_meet_probability(history, table, k, t, tau);
   }
   return enec;
+}
+
+int replicas_to_hand_over(int replicas, double mine, double theirs) noexcept {
+  const double denom = mine + theirs;
+  if (denom <= 0.0) return replicas / 2;
+  const auto give =
+      static_cast<int>(std::ceil(static_cast<double>(replicas) * theirs / denom));
+  return std::min(give, replicas);
 }
 
 }  // namespace dtn::core

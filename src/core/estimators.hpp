@@ -50,6 +50,11 @@ struct CondCounts {
 [[nodiscard]] double expected_meeting_delay(std::span<const double> intervals,
                                             double elapsed) noexcept;
 
+/// Replicas to hand a peer by the two sides' utilities (EEV, ENEC or EEV';
+/// Algorithms 1, 3, 4): ceil(M · theirs / (mine + theirs)), at most M; with
+/// no utility on either side (left open by the paper) floor(M / 2).
+[[nodiscard]] int replicas_to_hand_over(int replicas, double mine, double theirs) noexcept;
+
 /// Theorem 1: EEV_i(t, τ) summed over every peer in the history.
 [[nodiscard]] double expected_encounter_value(const ContactHistory& history,
                                               double t, double tau);

@@ -9,16 +9,15 @@
 //
 // MemdCache is the routers' form. It never materialises MD: every row but
 // `self` is MI's shared row, so it recomputes only the Theorem-2 row and
-// runs Dijkstra over a row view (that row plus the MI row pointers). With
-// version-based invalidation it reruns only when the node's MI or own
-// history changed, or the time bucket moved.
+// runs the sparse Dijkstra kernel over MI with that row in place of row
+// `self`. With version-based invalidation it restarts the search only when
+// the node's MI or own history changed, or the time bucket moved; within
+// one epoch each query settles only as far as it needs.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/community.hpp"
 #include "core/contact_history.hpp"
 #include "core/dijkstra.hpp"
 #include "core/mi_matrix.hpp"
@@ -31,22 +30,19 @@ namespace dtn::core {
 std::vector<double> build_md(const MiMatrix& mi, const ContactHistory& history,
                              NodeIdx self, double t);
 
-/// Intra-community MD over the dense sub-index of `community`'s members:
-/// result is m×m where m = members(community).size(), indexed by position
-/// in that member list. Pairs outside the community contribute no edges.
-std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& history,
-                                   const CommunityTable& table, int community,
-                                   NodeIdx self, double t);
+/// Fills `row`, a sparse row of n entries, with self's MD row at time t:
+/// Theorem 2 over the live window for every met peer (the columns it
+/// indexes), +inf elsewhere, 0 at self. `window` is scratch holding one
+/// peer's intervals in deque order, so the estimator sums in the same
+/// order as over the deque itself.
+void theorem2_row(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
+                  double* row, std::vector<double>& window);
 
-/// Caches the Dijkstra distance vector from `self` over its current MD.
-/// Recomputes lazily when (mi.version, history pair count, time bucket)
-/// changed. The time bucket quantizes t so the elapsed-time dependence of
-/// Theorem 2 still refreshes between contacts without recomputing per
-/// query.
-///
-/// A recompute is the O(n) Theorem-2 own row, n row pointers into `mi`,
-/// and an O(n²) Dijkstra over that row view; the cache holds O(n) state and
-/// its results equal Dijkstra over build_md() bit for bit.
+/// Caches the Dijkstra search from `self` over the MD of one MI, whose rows
+/// it reads between queries. Restarts it (O(n) Theorem-2 row) when
+/// (mi.version, history pair count, time bucket) changed; the bucket
+/// quantizes t so Theorem 2's elapsed-time term refreshes between contacts.
+/// memd() settles only up to dst; results equal Dijkstra over build_md().
 class MemdCache {
  public:
   explicit MemdCache(double time_quantum = 1.0) : quantum_(time_quantum) {}
@@ -60,19 +56,23 @@ class MemdCache {
                                        const ContactHistory& history, NodeIdx self,
                                        double t);
 
+  [[nodiscard]] const DijkstraCounters& counters() const { return dijkstra_.counters; }
+
   /// Forces the next query to recompute (buffers retained). Also the
   /// Router::reset support: a reset MiMatrix rewinds its version.
   void invalidate() { valid_ = false; }
 
  private:
+  void refresh(const MiMatrix& mi, const ContactHistory& history, NodeIdx self,
+               double t);
+
   double quantum_;
   bool valid_ = false;
   std::uint64_t mi_version_ = 0;
   std::int64_t time_bucket_ = 0;
   std::size_t history_pairs_ = 0;
-  std::vector<double> own_row_;      ///< Theorem-2 row of `self`
-  std::vector<double> window_;       ///< one peer's intervals, deque order
-  std::vector<const double*> rows_;  ///< the MD row view Dijkstra reads
+  std::vector<double> own_row_;  ///< Theorem-2 row of `self`, sparse form
+  std::vector<double> window_;   ///< one peer's intervals, deque order
   DijkstraWorkspace dijkstra_;
 };
 

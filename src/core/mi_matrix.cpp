@@ -5,6 +5,13 @@
 
 namespace dtn::core {
 
+void index_column(double* row, NodeIdx n, NodeIdx j) {
+  double& slot = row[n + j / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+  const auto word = std::bit_cast<std::uint64_t>(slot);
+  slot = std::bit_cast<double>(row[j] != MiMatrix::kUnknown ? word | bit : word & ~bit);
+}
+
 MiMatrix::MiMatrix(NodeIdx n)
     : n_(n), rows_(static_cast<std::size_t>(n)),
       row_times_(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity()) {}
@@ -26,18 +33,21 @@ double MiMatrix::get(NodeIdx i, NodeIdx j) const {
 void MiMatrix::set_entry(NodeIdx i, NodeIdx j, double avg_interval, double t) {
   assert(i >= 0 && i < n_ && j >= 0 && j < n_);
   if (i == j) return;  // diagonal fixed at 0
-  const auto n = static_cast<std::size_t>(n_);
+  const std::size_t size = sparse_row_size(n_);
   auto& row = rows_[static_cast<std::size_t>(i)];
   if (row == nullptr) {
-    row = std::make_shared<double[]>(n, kUnknown);
+    row = std::make_shared_for_overwrite<double[]>(size);
+    std::fill_n(row.get(), n_, kUnknown);
     row[static_cast<std::size_t>(i)] = 0.0;
+    std::fill(row.get() + n_, row.get() + size, 0.0);  // empty column index
   } else if (row.use_count() > 1) {
     // Copy-on-write: another matrix still reads the current version.
-    auto copy = std::make_shared_for_overwrite<double[]>(n);
-    std::copy_n(row.get(), n, copy.get());
+    auto copy = std::make_shared_for_overwrite<double[]>(size);
+    std::copy_n(row.get(), size, copy.get());
     row = std::move(copy);
   }
   row[static_cast<std::size_t>(j)] = avg_interval;
+  index_column(row.get(), n_, j);
   row_times_[static_cast<std::size_t>(i)] =
       std::max(row_times_[static_cast<std::size_t>(i)], t);
   ++version_;

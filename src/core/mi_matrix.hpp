@@ -12,12 +12,20 @@
 //     matrices point at the same immutable row buffer;
 //   - set_entry writes in place when this matrix is the row's only holder
 //     and clones the row first when another matrix still shares it.
+// Each row version is a *sparse row* of sparse_row_size(n) doubles: the n
+// entries, then column_words(n) 64-bit words whose bit j is set iff j is
+// off the diagonal and entry j is not +inf. The words sit in the double
+// array as bit patterns (std::bit_cast), so a row and its column index are
+// one copy-on-write allocation: set_entry keeps the index current, clones
+// copy it and merges share it with the handle. Dijkstra (core/dijkstra.hpp)
+// walks only the columns a row's index holds.
 // A world of n nodes thus costs n handles per node plus the row versions
 // still alive. Handles are std::shared_ptr, so matrices may be copied and
 // destroyed on any thread; a row is only ever written by the matrix that
 // holds its sole handle.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -26,6 +34,23 @@
 namespace dtn::core {
 
 using NodeIdx = std::int32_t;
+
+/// Column-index words a sparse row of n entries carries after them.
+constexpr std::size_t column_words(NodeIdx n) {
+  return (static_cast<std::size_t>(n) + 63) / 64;
+}
+constexpr std::size_t sparse_row_size(NodeIdx n) {
+  return static_cast<std::size_t>(n) + column_words(n);
+}
+
+/// Whether column j is in the index of a sparse row of n entries.
+inline bool has_column(const double* row, NodeIdx n, NodeIdx j) {
+  const auto word = std::bit_cast<std::uint64_t>(row[n + j / 64]);
+  return ((word >> (j % 64)) & 1U) != 0;
+}
+
+/// Re-derives column j's index bit from its entry (j off the diagonal).
+void index_column(double* row, NodeIdx n, NodeIdx j);
 
 class MiMatrix {
  public:
@@ -67,9 +92,9 @@ class MiMatrix {
   /// derived from the matrix (e.g. MEMD vectors) and detect staleness.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Row i's n entries, or nullptr while row i is unknown. This is the row
-  /// view Dijkstra reads. The pointer stays valid until this matrix next
-  /// writes row i, merges, resets or is destroyed.
+  /// Row i as a sparse row (what Dijkstra reads), or nullptr while row i is
+  /// unknown. The pointer stays valid until this matrix next writes row i,
+  /// merges, resets or is destroyed.
   [[nodiscard]] const double* row_data(NodeIdx i) const {
     return rows_[static_cast<std::size_t>(i)].get();
   }

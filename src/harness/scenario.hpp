@@ -47,6 +47,11 @@ class ScenarioRunner {
   /// inconsistent specs.
   ScenarioResult run(const ScenarioSpec& spec);
 
+  /// The World the last run() finished, routers included, for post-run
+  /// inspection such as summing router work counters; null before the
+  /// first run.
+  [[nodiscard]] const sim::World* world() const { return world_.get(); }
+
  private:
   /// Builds or resets the owned World for a fresh run under `config`.
   sim::World& prepare(const sim::WorldConfig& config);

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/dijkstra.hpp"
 #include "core/estimators.hpp"
 #include "core/md_builder.hpp"
 #include "sim/world.hpp"
@@ -43,27 +42,21 @@ double CrRouter::intra_eev(double t, double tau) const {
 
 double CrRouter::intra_memd(sim::NodeIdx dst, double t) {
   ensure_state();
-  const int own = community();
-  const auto& members = communities_->members(own);
-  // Position of self and dst in the member sub-index.
-  sim::NodeIdx self_pos = -1;
-  sim::NodeIdx dst_pos = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == self()) self_pos = static_cast<sim::NodeIdx>(i);
-    if (members[i] == dst) dst_pos = static_cast<sim::NodeIdx>(i);
-  }
-  if (self_pos < 0 || dst_pos < 0) return kInf;
+  if (!communities_->same_community(self(), dst)) return kInf;
   const auto bucket = static_cast<std::int64_t>(std::floor(t));
-  if (mi_intra_->version() != intra_dist_version_ || bucket != intra_dist_bucket_) {
-    const std::vector<double> md = core::build_md_intra(
-        *mi_intra_, history_, *communities_, own, self(), t);
-    intra_dist_ = core::dijkstra_dense(md, static_cast<sim::NodeIdx>(members.size()),
-                                       self_pos)
-                      .dist;
-    intra_dist_version_ = mi_intra_->version();
-    intra_dist_bucket_ = bucket;
+  if (mi_intra_->version() != intra_version_ || bucket != intra_bucket_) {
+    const sim::NodeIdx n = mi_intra_->size();
+    own_row_.resize(core::sparse_row_size(n));
+    core::theorem2_row(history_, self(), t, n, own_row_.data(), window_);
+    std::fill(own_row_.begin() + n, own_row_.end(), 0.0);  // index the members only
+    for (const sim::NodeIdx v : communities_->members(community())) {
+      if (v != self()) core::index_column(own_row_.data(), n, v);
+    }
+    dijkstra_.start(*mi_intra_, self(), own_row_.data());
+    intra_version_ = mi_intra_->version();
+    intra_bucket_ = bucket;
   }
-  return intra_dist_.at(static_cast<std::size_t>(dst_pos));
+  return dijkstra_.settle_until(dst);
 }
 
 void CrRouter::record_meeting(sim::NodeIdx peer, double t) {
@@ -86,11 +79,10 @@ void CrRouter::on_contact_up(sim::NodeIdx peer) {
   if (peer_router != nullptr) {
     peer_router->ensure_state();
     // Intra-community MI' exchange only happens between same-community
-    // nodes (Algorithm 4 line 2) — this is CR's overhead saving vs EER.
+    // nodes (Algorithm 4 line 2), and a row of MI' is only meaningful over
+    // the members, so handshake and rows are community-sized: CR's overhead
+    // saving against EER's full-n exchange.
     if (communities_->same_community(self(), peer) && self() < peer) {
-      // A row of MI' is only meaningful over the community members, so the
-      // handshake (row timestamps) and row payloads are community-sized —
-      // this is exactly CR's overhead saving vs EER's full-n exchange.
       const auto member_count = static_cast<std::int64_t>(
           communities_->members(community()).size());
       charge_control_bytes(2 * member_count * 8);
@@ -125,13 +117,7 @@ void CrRouter::route_one(const sim::StoredMessage& sm, sim::NodeIdx peer,
 
 void CrRouter::on_message_created(const sim::Message& m) {
   ensure_state();
-  const sim::StoredMessage* sm = buffer().find(m.id);
-  if (sm == nullptr) return;
-  const std::vector<sim::NodeIdx>& peers = contacts();  // zero-copy view
-  for (const sim::NodeIdx peer : peers) {
-    auto* peer_router = dynamic_cast<CrRouter*>(&world().router_of(peer));
-    route_one(*sm, peer, peer_router, now());
-  }
+  if (const sim::StoredMessage* sm = buffer().find(m.id)) on_message_received(*sm, self());
 }
 
 void CrRouter::on_message_received(const sim::StoredMessage& sm,
@@ -163,15 +149,7 @@ void CrRouter::inter_community_route(const sim::StoredMessage& sm, sim::NodeIdx 
     const double enec_i = enec(t, tau);
     const double enec_j = peer_router->enec(t, tau);
     charge_control_bytes(8);
-    const double denom = enec_i + enec_j;
-    int give;
-    if (denom <= 0.0) {
-      give = sm.replicas / 2;  // same degenerate-split policy as EER
-    } else {
-      give = static_cast<int>(
-          std::ceil(static_cast<double>(sm.replicas) * enec_j / denom));
-      if (give > sm.replicas) give = sm.replicas;
-    }
+    const int give = core::replicas_to_hand_over(sm.replicas, enec_i, enec_j);
     if (give >= 1) send_copy(peer, sm.msg.id, give, give);
   } else {
     // Algorithm 3 line 10: forward toward the better community-finder.
@@ -194,15 +172,7 @@ void CrRouter::intra_community_route(const sim::StoredMessage& sm, sim::NodeIdx 
     const double eev_i = intra_eev(t, tau);
     const double eev_j = peer_router->intra_eev(t, tau);
     charge_control_bytes(8);
-    const double denom = eev_i + eev_j;
-    int give;
-    if (denom <= 0.0) {
-      give = sm.replicas / 2;
-    } else {
-      give = static_cast<int>(
-          std::ceil(static_cast<double>(sm.replicas) * eev_j / denom));
-      if (give > sm.replicas) give = sm.replicas;
-    }
+    const int give = core::replicas_to_hand_over(sm.replicas, eev_i, eev_j);
     if (give >= 1) send_copy(peer, sm.msg.id, give, give);
   } else {
     // Algorithm 4 line 9: intra-community MEMD' comparison.

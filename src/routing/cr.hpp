@@ -16,6 +16,7 @@
 
 #include "core/community.hpp"
 #include "core/contact_history.hpp"
+#include "core/dijkstra.hpp"
 #include "core/mi_matrix.hpp"
 #include "sim/router.hpp"
 
@@ -37,9 +38,8 @@ class CrRouter final : public sim::Router {
   void reset() override {
     history_.clear();
     if (mi_intra_) mi_intra_->reset();
-    intra_dist_.clear();
-    intra_dist_version_ = ~0ULL;
-    intra_dist_bucket_ = -1;
+    intra_version_ = ~0ULL;
+    intra_bucket_ = -1;
   }
 
   void on_contact_up(sim::NodeIdx peer) override;
@@ -53,6 +53,12 @@ class CrRouter final : public sim::Router {
   [[nodiscard]] double intra_eev(double t, double tau) const;
   [[nodiscard]] double intra_memd(sim::NodeIdx dst, double t);
   [[nodiscard]] const core::ContactHistory& history() const { return history_; }
+  /// MI' (nullptr before the first contact or message).
+  [[nodiscard]] const core::MiMatrix* mi_intra() const { return mi_intra_.get(); }
+  /// Work done by this router's MEMD' searches.
+  [[nodiscard]] const core::DijkstraCounters& dijkstra_counters() const {
+    return dijkstra_.counters;
+  }
 
  private:
   void ensure_state();
@@ -70,10 +76,14 @@ class CrRouter final : public sim::Router {
   /// Intra-community MI', indexed by global node id. Only own-community
   /// rows are ever written or exchanged, so only they hold storage.
   std::unique_ptr<core::MiMatrix> mi_intra_;
-  /// Cached intra-community MEMD' distances (over the member sub-index).
-  std::vector<double> intra_dist_;
-  std::uint64_t intra_dist_version_ = ~0ULL;
-  std::int64_t intra_dist_bucket_ = -1;
+  /// MEMD' search over MI' with the own Theorem-2 row, indexed on the
+  /// members only, as row self. MI' holds own-community rows and columns
+  /// only, so it stays in the community. Restarts on (MI' version, floor(t)).
+  std::vector<double> own_row_;
+  std::vector<double> window_;
+  core::DijkstraWorkspace dijkstra_;
+  std::uint64_t intra_version_ = ~0ULL;
+  std::int64_t intra_bucket_ = -1;
 };
 
 }  // namespace dtn::routing

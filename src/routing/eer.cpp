@@ -1,6 +1,5 @@
 #include "routing/eer.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "core/estimators.hpp"
@@ -59,65 +58,41 @@ void EerRouter::on_contact_up(sim::NodeIdx peer) {
         static_cast<std::int64_t>(buffer().count() + world().buffer_of(peer).count()) * 8);
   }
 
-  route_messages(peer, peer_router);
-}
-
-void EerRouter::route_messages(sim::NodeIdx peer, EerRouter* peer_router) {
-  const double t = now();
-  for (const auto& sm : buffer()) {
-    route_one(sm, peer, peer_router, t);
-  }
+  for (const auto& sm : buffer()) route_one(sm, peer, peer_router, t);
 }
 
 void EerRouter::route_one(const sim::StoredMessage& sm, sim::NodeIdx peer,
                           EerRouter* peer_router, double t) {
-  {
-    if (sm.msg.expired_at(t)) return;
-    // Direct delivery always wins.
-    if (sm.msg.dst == peer) {
-      send_copy(peer, sm.msg.id, 1, 0);
-      return;
-    }
-    if (peer_router == nullptr) return;
-    // Algorithm 1 line 7: no redistribution when both hold replicas.
-    if (peer_has(peer, sm.msg.id)) return;
+  if (sm.msg.expired_at(t)) return;
+  // Direct delivery always wins.
+  if (sm.msg.dst == peer) {
+    send_copy(peer, sm.msg.id, 1, 0);
+    return;
+  }
+  if (peer_router == nullptr) return;
+  // Algorithm 1 line 7: no redistribution when both hold replicas.
+  if (peer_has(peer, sm.msg.id)) return;
 
-    const double tau = params_.alpha * sm.msg.remaining_ttl(t);
-    if (sm.replicas > 1) {
-      // Multiple replicas distribution (Algorithm 1 line 10).
-      const double eev_i = eev(t, tau);
-      const double eev_j = peer_router->eev(t, tau);
-      const double denom = eev_i + eev_j;
-      int give;
-      if (denom <= 0.0) {
-        give = sm.replicas / 2;  // degenerate split, see header
-      } else {
-        give = static_cast<int>(
-            std::ceil(static_cast<double>(sm.replicas) * eev_j / denom));
-        if (give > sm.replicas) give = sm.replicas;
-      }
-      if (give >= 1) send_copy(peer, sm.msg.id, give, give);
-    } else {
-      // Single replica forwarding (Algorithm 1 line 13).
-      const double memd_i = memd(sm.msg.dst, t);
-      const double memd_j = peer_router->memd(sm.msg.dst, t);
-      charge_control_bytes(8);  // the peer reports its MEMD to us
-      if (memd_i > memd_j) send_copy(peer, sm.msg.id, 1, 1);
-    }
+  const double tau = params_.alpha * sm.msg.remaining_ttl(t);
+  if (sm.replicas > 1) {
+    // Multiple replicas distribution (Algorithm 1 line 10).
+    const int give =
+        core::replicas_to_hand_over(sm.replicas, eev(t, tau), peer_router->eev(t, tau));
+    if (give >= 1) send_copy(peer, sm.msg.id, give, give);
+  } else {
+    // Single replica forwarding (Algorithm 1 line 13).
+    const double memd_i = memd(sm.msg.dst, t);
+    const double memd_j = peer_router->memd(sm.msg.dst, t);
+    charge_control_bytes(8);  // the peer reports its MEMD to us
+    if (memd_i > memd_j) send_copy(peer, sm.msg.id, 1, 1);
   }
 }
 
 void EerRouter::on_message_created(const sim::Message& m) {
   ensure_state();
-  const sim::StoredMessage* sm = buffer().find(m.id);
-  if (sm == nullptr) return;
-  // A message born during an active contact is routed immediately; the
-  // contact-up exchange already happened when the link formed.
-  const std::vector<sim::NodeIdx>& peers = contacts();  // zero-copy view
-  for (const sim::NodeIdx peer : peers) {
-    auto* peer_router = dynamic_cast<EerRouter*>(&world().router_of(peer));
-    route_one(*sm, peer, peer_router, now());
-  }
+  // A message born during an active contact is routed at once, like a
+  // received one; the contact-up exchange already happened.
+  if (const sim::StoredMessage* sm = buffer().find(m.id)) on_message_received(*sm, self());
 }
 
 void EerRouter::on_message_received(const sim::StoredMessage& sm,

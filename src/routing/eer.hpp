@@ -54,6 +54,10 @@ class EerRouter final : public sim::Router {
   [[nodiscard]] double memd(sim::NodeIdx dst, double t);
 
   [[nodiscard]] const core::ContactHistory& history() const { return history_; }
+  /// Work done by this router's MEMD searches.
+  [[nodiscard]] const core::DijkstraCounters& dijkstra_counters() const {
+    return memd_cache_.counters();
+  }
   /// This node's MI view. A router that never had a contact or a message
   /// still answers, with every row but the diagonal unknown.
   [[nodiscard]] const core::MiMatrix& mi() const {
@@ -65,7 +69,6 @@ class EerRouter final : public sim::Router {
   void ensure_state() const;
   void record_meeting(sim::NodeIdx peer, double t);
   void exchange_mi(sim::NodeIdx peer, EerRouter& peer_router);
-  void route_messages(sim::NodeIdx peer, EerRouter* peer_router);
   void route_one(const sim::StoredMessage& sm, sim::NodeIdx peer,
                  EerRouter* peer_router, double t);
 

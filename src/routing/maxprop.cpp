@@ -65,22 +65,19 @@ void MaxPropRouter::exchange_state(sim::NodeIdx peer) {
 void MaxPropRouter::recompute_costs() {
   const auto n = world().node_count();
   ensure_size(n);
-  // Dense weight matrix: w(u -> v) = 1 - f_u(v); rows for nodes we have no
-  // vector from stay disconnected (except our own row).
-  std::vector<double> w(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), kInf);
+  // Weight graph: w(u -> v) = 1 - f_u(v); rows for nodes we have no vector
+  // from stay disconnected (except our own row).
+  core::MiMatrix graph(n);
   auto fill_row = [&](sim::NodeIdx u, const std::vector<double>& f) {
-    const std::size_t row = static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-    for (sim::NodeIdx v = 0; v < n; ++v) {
-      if (v == u) {
-        w[row + static_cast<std::size_t>(v)] = 0.0;
-      } else if (static_cast<std::size_t>(v) < f.size()) {
-        w[row + static_cast<std::size_t>(v)] = 1.0 - f[static_cast<std::size_t>(v)];
-      }
+    for (sim::NodeIdx v = 0; v < n && static_cast<std::size_t>(v) < f.size(); ++v) {
+      graph.set_entry(u, v, 1.0 - f[static_cast<std::size_t>(v)], 0.0);
     }
   };
   fill_row(self(), f_own_);
   for (const auto& [node, f] : f_known_) fill_row(node, f);
-  cost_ = core::dijkstra_dense(w, n, self()).dist;
+  core::DijkstraWorkspace search;
+  search.start(graph, self(), graph.row_data(self()));
+  cost_ = search.settle_all();
   cost_dirty_ = false;
 }
 

@@ -15,14 +15,10 @@ double MeedRouter::eed(sim::NodeIdx dst) {
   if (mi_->version() != dist_version_) {
     // MEED's delay graph is the MI of average intervals itself: the own row
     // is our averages, foreign rows arrive via the link-state exchange.
-    rows_.resize(static_cast<std::size_t>(mi_->size()));
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      rows_[i] = mi_->row_data(static_cast<core::NodeIdx>(i));
-    }
-    core::dijkstra_rows(rows_, self(), dijkstra_);
+    dijkstra_.start(*mi_, self(), mi_->row_data(self()));
     dist_version_ = mi_->version();
   }
-  return dijkstra_.result.dist.at(static_cast<std::size_t>(dst));
+  return dijkstra_.settle_until(dst);
 }
 
 void MeedRouter::on_contact_up(sim::NodeIdx peer) {

@@ -54,7 +54,6 @@ class MeedRouter final : public sim::Router {
   core::ContactHistory history_;
   /// Sized to node_count() on first use; mutable so mi() can create it.
   mutable std::unique_ptr<core::MiMatrix> mi_;
-  std::vector<const double*> rows_;  ///< MI row view Dijkstra reads
   core::DijkstraWorkspace dijkstra_;
   std::uint64_t dist_version_ = ~0ULL;
 };

@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "../reference_md.hpp"
 #include "util/rng.hpp"
 
 namespace dtn::core {
 namespace {
+
+using test::dense_oracle;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -37,15 +42,13 @@ TEST(Dijkstra, PrefersMultiHopWhenCheaper) {
   const auto m = matrix(3, {{0, 1, 10.0}, {0, 2, 3.0}, {2, 1, 4.0}});
   const auto r = dijkstra_dense(m, 3, 0);
   EXPECT_DOUBLE_EQ(r.dist[1], 7.0);
-  EXPECT_EQ(extract_path(r, 0, 1), (std::vector<NodeIdx>{0, 2, 1}));
+  EXPECT_DOUBLE_EQ(r.dist[2], 3.0);
 }
 
 TEST(Dijkstra, UnreachableStaysInfinite) {
   const auto m = matrix(3, {{0, 1, 1.0}});
   const auto r = dijkstra_dense(m, 3, 0);
   EXPECT_TRUE(std::isinf(r.dist[2]));
-  EXPECT_FALSE(r.reachable(2));
-  EXPECT_TRUE(extract_path(r, 0, 2).empty());
 }
 
 TEST(Dijkstra, AsymmetricEdges) {
@@ -65,11 +68,11 @@ TEST(Dijkstra, NegativeWeightsClampedToZero) {
   EXPECT_DOUBLE_EQ(r.dist[1], 0.0);
 }
 
-TEST(Dijkstra, PathExtractionEndpoints) {
+TEST(Dijkstra, ChainAccumulatesHops) {
   const auto m = matrix(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
   const auto r = dijkstra_dense(m, 4, 0);
-  EXPECT_EQ(extract_path(r, 0, 0), (std::vector<NodeIdx>{0}));
-  EXPECT_EQ(extract_path(r, 0, 3), (std::vector<NodeIdx>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(r.dist[0], 0.0);
+  EXPECT_DOUBLE_EQ(r.dist[3], 3.0);
 }
 
 // Floyd-Warshall reference for the property test.
@@ -117,148 +120,143 @@ TEST_P(DijkstraRandomGraphTest, MatchesFloydWarshall) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DijkstraRandomGraphTest, ::testing::Values(4, 8, 16, 32));
 
-TEST(Dijkstra, PathCostsMatchDistances) {
-  const NodeIdx n = 12;
-  util::Pcg32 rng(99, 1);
-  std::vector<double> m(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), kInf);
-  for (NodeIdx i = 0; i < n; ++i) {
-    m[static_cast<std::size_t>(i) * n + i] = 0.0;
-    for (NodeIdx j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(0.5)) {
-        m[static_cast<std::size_t>(i) * n + j] = rng.uniform(1.0, 50.0);
-      }
-    }
-  }
-  const auto r = dijkstra_dense(m, n, 0);
-  for (NodeIdx v = 1; v < n; ++v) {
-    const auto path = extract_path(r, 0, v);
-    if (path.empty()) continue;
-    double cost = 0.0;
-    for (std::size_t k = 0; k + 1 < path.size(); ++k) {
-      cost += m[static_cast<std::size_t>(path[k]) * n + path[k + 1]];
-    }
-    EXPECT_NEAR(cost, r.dist[static_cast<std::size_t>(v)], 1e-9);
-  }
-}
-
-// The dense kernel as it stood before the row view, kept verbatim as the
-// oracle for the differential below.
-DijkstraResult dense_oracle(std::span<const double> delay, NodeIdx n, NodeIdx src) {
-  DijkstraResult result;
-  result.dist.assign(static_cast<std::size_t>(n), kInf);
-  result.parent.assign(static_cast<std::size_t>(n), -1);
-  std::vector<bool> done(static_cast<std::size_t>(n), false);
-  result.dist[static_cast<std::size_t>(src)] = 0.0;
-  for (NodeIdx iter = 0; iter < n; ++iter) {
-    NodeIdx u = -1;
-    double best = kInf;
-    for (NodeIdx v = 0; v < n; ++v) {
-      if (!done[static_cast<std::size_t>(v)] &&
-          result.dist[static_cast<std::size_t>(v)] < best) {
-        best = result.dist[static_cast<std::size_t>(v)];
-        u = v;
-      }
-    }
-    if (u < 0) break;
-    done[static_cast<std::size_t>(u)] = true;
-    const std::size_t row = static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-    for (NodeIdx v = 0; v < n; ++v) {
-      if (done[static_cast<std::size_t>(v)] || v == u) continue;
-      double w = delay[row + static_cast<std::size_t>(v)];
-      if (w == kInf) continue;
-      if (w < 0.0) w = 0.0;
-      const double nd = best + w;
-      if (nd < result.dist[static_cast<std::size_t>(v)]) {
-        result.dist[static_cast<std::size_t>(v)] = nd;
-        result.parent[static_cast<std::size_t>(v)] = u;
-      }
-    }
-  }
-  return result;
-}
-
-void expect_same_bits(const DijkstraResult& a, const DijkstraResult& b, NodeIdx n,
-                      NodeIdx src, const char* what) {
-  ASSERT_EQ(a.dist.size(), static_cast<std::size_t>(n)) << what;
-  ASSERT_EQ(b.dist.size(), static_cast<std::size_t>(n)) << what;
-  for (std::size_t v = 0; v < a.dist.size(); ++v) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.dist[v]),
-              std::bit_cast<std::uint64_t>(b.dist[v]))
-        << what << " n=" << n << " src=" << src << " v=" << v;
-    EXPECT_EQ(a.parent[v], b.parent[v])
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      NodeIdx n, NodeIdx src, const char* what) {
+  ASSERT_EQ(a.size(), static_cast<std::size_t>(n)) << what;
+  ASSERT_EQ(b.size(), static_cast<std::size_t>(n)) << what;
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[v]), std::bit_cast<std::uint64_t>(b[v]))
         << what << " n=" << n << " src=" << src << " v=" << v;
   }
 }
 
-class DijkstraRowViewTest : public ::testing::TestWithParam<int> {};
+/// A random delay graph in both forms: `dense` (unknown rows read as +inf
+/// rows, garbage on the diagonal) and an MiMatrix holding the same edges.
+struct RandomGraph {
+  explicit RandomGraph(NodeIdx n) : mi(n) {}
+  std::vector<double> dense;
+  MiMatrix mi;
+};
 
-// Randomised differential: the row-view kernel against dijkstra_dense and
-// the pre-row-view oracle, on matrices with +inf, zero and negative
-// (clamped) weights, many equal-distance ties (small integer weights) and
-// null rows. Every dist must match bit for bit and every parent exactly.
-TEST_P(DijkstraRowViewTest, MatchesDenseKernelBitForBit) {
-  const NodeIdx n = static_cast<NodeIdx>(GetParam());
+RandomGraph random_graph(NodeIdx n, double fill, util::Pcg32& rng) {
   const auto n_sz = static_cast<std::size_t>(n);
+  RandomGraph g(n);
+  g.dense.assign(n_sz * n_sz, kInf);
+  for (NodeIdx i = 0; i < n; ++i) {
+    double* row = g.dense.data() + static_cast<std::size_t>(i) * n_sz;
+    // Diagonal garbage: no kernel may read it.
+    row[static_cast<std::size_t>(i)] = rng.uniform(-9.0, 9.0);
+    if (rng.bernoulli(0.2)) continue;  // unknown row: no out-edges
+    for (NodeIdx j = 0; j < n; ++j) {
+      if (i == j || !rng.bernoulli(fill)) continue;  // +inf: no edge
+      const double pick = rng.next_double();
+      double w;
+      if (pick < 0.15) {
+        w = 0.0;
+      } else if (pick < 0.3) {
+        w = -rng.uniform(0.0, 5.0);  // clamped
+      } else if (pick < 0.7) {
+        w = static_cast<double>(rng.uniform_int(1, 4));  // ties
+      } else {
+        w = rng.uniform(0.1, 100.0);
+      }
+      row[static_cast<std::size_t>(j)] = w;
+      g.mi.set_entry(i, j, w, 0.0);
+    }
+  }
+  return g;
+}
+
+class DijkstraSparseTest : public ::testing::TestWithParam<int> {};
+
+// Randomised differential: the sparse kernel (through a reused workspace
+// and through dijkstra_dense) against the dense oracle, at 5% to 60% fill,
+// with +inf, zero and clamped negative weights, many equal-distance ties
+// (small integer weights) and null rows. Every dist must match bit for bit.
+TEST_P(DijkstraSparseTest, MatchesDenseOracleBitForBit) {
+  const NodeIdx n = static_cast<NodeIdx>(GetParam());
   DijkstraWorkspace ws;  // reused across trials and sources
-  for (std::uint64_t trial = 0; trial < 4; ++trial) {
-    util::Pcg32 rng(2024 + trial, static_cast<std::uint64_t>(n));
-    std::vector<double> dense(n_sz * n_sz, kInf);
-    std::vector<const double*> rows(n_sz, nullptr);
-    for (NodeIdx i = 0; i < n; ++i) {
-      double* row = dense.data() + static_cast<std::size_t>(i) * n_sz;
-      // Diagonal garbage: neither kernel may read it.
-      row[static_cast<std::size_t>(i)] = rng.uniform(-9.0, 9.0);
-      if (rng.bernoulli(0.2)) continue;  // null row: no out-edges
-      rows[static_cast<std::size_t>(i)] = row;
-      for (NodeIdx j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const double pick = rng.next_double();
-        if (pick < 0.4) continue;  // +inf: no edge
-        if (pick < 0.5) {
-          row[static_cast<std::size_t>(j)] = 0.0;
-        } else if (pick < 0.6) {
-          row[static_cast<std::size_t>(j)] = -rng.uniform(0.0, 5.0);
-        } else if (pick < 0.85) {
-          row[static_cast<std::size_t>(j)] =
-              static_cast<double>(rng.uniform_int(1, 4));  // ties
-        } else {
-          row[static_cast<std::size_t>(j)] = rng.uniform(0.1, 100.0);
-        }
-      }
-    }
-    // Null rows read as +inf rows in the dense forms.
-    for (NodeIdx i = 0; i < n; ++i) {
-      if (rows[static_cast<std::size_t>(i)] != nullptr) continue;
-      double* row = dense.data() + static_cast<std::size_t>(i) * n_sz;
-      for (NodeIdx j = 0; j < n; ++j) {
-        if (j != i) row[static_cast<std::size_t>(j)] = kInf;
-      }
-    }
+  std::uint64_t trial = 0;
+  for (const double fill : {0.05, 0.2, 0.4, 0.6}) {
+    util::Pcg32 rng(2024 + trial++, static_cast<std::uint64_t>(n));
+    const RandomGraph g = random_graph(n, fill, rng);
     const NodeIdx stride = n > 32 ? 7 : 1;
     for (NodeIdx src = 0; src < n; src += stride) {
-      const DijkstraResult oracle = dense_oracle(dense, n, src);
-      expect_same_bits(dijkstra_rows(rows, src, ws), oracle, n, src, "rows");
-      expect_same_bits(dijkstra_dense(dense, n, src), oracle, n, src, "dense");
+      const std::vector<double> oracle = dense_oracle(g.dense, n, src);
+      ws.start(g.mi, src, g.mi.row_data(src));
+      expect_same_bits(ws.settle_all(), oracle, n, src, "workspace");
+      expect_same_bits(dijkstra_dense(g.dense, n, src).dist, oracle, n, src, "dense");
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, DijkstraRowViewTest, ::testing::Values(1, 2, 17, 240));
+// Target-driven settling: settle_until(dst) queries in random order, each
+// resuming the search the previous one left, return the bits settle_all()
+// does; a settle_all() after them completes the same vector.
+TEST_P(DijkstraSparseTest, SettleUntilMatchesSettleAll) {
+  const NodeIdx n = static_cast<NodeIdx>(GetParam());
+  DijkstraWorkspace full;
+  DijkstraWorkspace partial;
+  std::uint64_t trial = 0;
+  for (const double fill : {0.05, 0.2, 0.6}) {
+    util::Pcg32 rng(77 + trial++, static_cast<std::uint64_t>(n));
+    const RandomGraph g = random_graph(n, fill, rng);
+    const NodeIdx stride = n > 32 ? 11 : 1;
+    for (NodeIdx src = 0; src < n; src += stride) {
+      full.start(g.mi, src, g.mi.row_data(src));
+      const std::vector<double> all = full.settle_all();
+      partial.start(g.mi, src, g.mi.row_data(src));
+      const auto queries = static_cast<int>(rng.uniform_int(1, 2 * n));
+      for (int q = 0; q < queries; ++q) {
+        const auto dst = static_cast<NodeIdx>(rng.uniform_int(0, n - 1));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(partial.settle_until(dst)),
+                  std::bit_cast<std::uint64_t>(all[static_cast<std::size_t>(dst)]))
+            << "n=" << n << " src=" << src << " dst=" << dst;
+      }
+      expect_same_bits(partial.settle_all(), all, n, src, "resumed");
+    }
+  }
+  // Target-driven queries never do more work than full searches.
+  EXPECT_EQ(partial.counters.calls, full.counters.calls);
+  EXPECT_LE(partial.counters.settled, full.counters.settled);
+  EXPECT_LE(partial.counters.relaxed, full.counters.relaxed);
+}
 
-TEST(Dijkstra, RowViewWorkspaceShrinksWithN) {
+INSTANTIATE_TEST_SUITE_P(Sizes, DijkstraSparseTest, ::testing::Values(1, 2, 17, 240));
+
+TEST(Dijkstra, SourceRowReplacesGraphRow) {
+  // The graph's own row 0 says 0 -> 1 costs 50; the source row says 5, and
+  // knows no edge 0 -> 2 even though the graph's row does.
+  MiMatrix graph(3);
+  graph.set_entry(0, 1, 50.0, 0.0);
+  graph.set_entry(0, 2, 1.0, 0.0);
+  graph.set_entry(1, 2, 2.0, 0.0);
+  std::vector<double> own(sparse_row_size(3), 0.0);  // empty column index
+  own[1] = 5.0;
+  own[2] = kInf;
+  index_column(own.data(), 3, 1);
+  DijkstraWorkspace ws;
+  ws.start(graph, 0, own.data());
+  EXPECT_DOUBLE_EQ(ws.settle_until(2), 7.0);
+  ws.start(graph, 0, nullptr);  // no source row: nothing is reachable
+  EXPECT_TRUE(std::isinf(ws.settle_until(1)));
+}
+
+TEST(Dijkstra, WorkspaceShrinksWithN) {
   // A workspace sized by a large graph must give exact results on a
   // smaller one (no stale entries past n).
   DijkstraWorkspace ws;
-  const auto big = matrix(5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 4, 1.0}});
-  std::vector<const double*> big_rows;
-  for (std::size_t i = 0; i < 5; ++i) big_rows.push_back(big.data() + i * 5);
-  dijkstra_rows(big_rows, 0, ws);
-  const auto small = matrix(2, {{0, 1, 3.0}});
-  const std::vector<const double*> small_rows{small.data(), nullptr};
-  const DijkstraResult& r = dijkstra_rows(small_rows, 0, ws);
-  ASSERT_EQ(r.dist.size(), 2u);
-  EXPECT_DOUBLE_EQ(r.dist[1], 3.0);
-  EXPECT_EQ(r.parent[1], 0);
+  util::Pcg32 rng(5, 5);
+  const RandomGraph big = random_graph(130, 0.5, rng);
+  ws.start(big.mi, 0, big.mi.row_data(0));
+  ws.settle_all();
+  MiMatrix small(2);
+  small.set_entry(0, 1, 3.0, 0.0);
+  ws.start(small, 0, small.row_data(0));
+  const std::vector<double>& dist = ws.settle_all();
+  ASSERT_EQ(dist.size(), 2u);
+  EXPECT_DOUBLE_EQ(dist[1], 3.0);
+  EXPECT_EQ(ws.counters.calls, 2u);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "../reference_md.hpp"
 #include "core/estimators.hpp"
+#include "util/rng.hpp"
 
 namespace dtn::core {
 namespace {
@@ -46,25 +51,19 @@ TEST(MdBuilder, MemdUsesTwoHopPathWhenCheaper) {
   EXPECT_NEAR(r.dist[2], 30.0, 1e-9);
 }
 
-TEST(MdBuilder, IntraSubIndexRestrictsToMembers) {
-  const CommunityTable table({0, 0, 0, 1});  // community 0 = {0,1,2}
-  MiMatrix mi(4);
-  mi.set_entry(1, 2, 40.0, 1.0);
-  mi.set_entry(1, 3, 5.0, 1.0);  // edge to outsider 3 must not appear
-
+TEST(MdBuilder, Theorem2RowCoversMetPeersOnly) {
   ContactHistory h(8);
   h.record_contact(1, 0.0);
-  h.record_contact(1, 30.0);
-
-  const auto md = build_md_intra(mi, h, table, 0, 0, 30.0);
-  const auto m = static_cast<NodeIdx>(table.members(0).size());
-  ASSERT_EQ(m, 3);
-  // Sub-index order is {0,1,2}. Own row entry (0 -> 1) from Theorem 2:
-  // interval {30}, elapsed 0 -> 30.
-  EXPECT_NEAR(md[0 * m + 1], 30.0, 1e-12);
-  EXPECT_DOUBLE_EQ(md[1 * m + 2], 40.0);
-  // No path can use node 3; matrix simply has no such index.
-  EXPECT_EQ(md.size(), static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
+  h.record_contact(1, 30.0);  // interval {30}
+  h.record_contact(2, 10.0);  // met once: no interval yet
+  std::vector<double> row(sparse_row_size(4), -1.0);
+  std::vector<double> window;
+  theorem2_row(h, 0, 30.0, 4, row.data(), window);
+  EXPECT_DOUBLE_EQ(row[0], 0.0);
+  EXPECT_NEAR(row[1], 30.0, 1e-12);  // elapsed 0
+  EXPECT_TRUE(std::isinf(row[2]));
+  EXPECT_TRUE(std::isinf(row[3]));
+  for (NodeIdx j = 0; j < 4; ++j) EXPECT_EQ(has_column(row.data(), 4, j), j == 1) << j;
 }
 
 TEST(MemdCache, ReturnsSameAsDirectComputation) {
@@ -117,6 +116,43 @@ TEST(MemdCache, SelfDistanceZero) {
   ContactHistory h(8);
   MemdCache cache;
   EXPECT_DOUBLE_EQ(cache.memd(mi, h, 1, 1, 0.0), 0.0);
+}
+
+// The cache's target-driven memd(dst) and full distances() against the
+// dense oracle over build_md, bit for bit, on random sparse MI and history
+// as the clock advances through several buckets and MI versions.
+TEST(MemdCache, MatchesDenseMdBitForBit) {
+  const NodeIdx n = 90;
+  util::Pcg32 rng(31, 7);
+  MiMatrix mi(n);
+  ContactHistory h(8);
+  MemdCache partial;
+  MemdCache full;
+  double t = 0.0;
+  for (int round = 0; round < 30; ++round) {
+    for (int k = 0; k < 40; ++k) {
+      const auto i = static_cast<NodeIdx>(rng.uniform_int(0, n - 1));
+      const auto j = static_cast<NodeIdx>(rng.uniform_int(0, n - 1));
+      mi.set_entry(i, j, static_cast<double>(rng.uniform_int(1, 6)) * 10.0, t);
+    }
+    t += rng.uniform(0.5, 40.0);
+    h.record_contact(static_cast<NodeIdx>(rng.uniform_int(1, n - 1)), t);
+    const std::vector<double> oracle = test::dense_oracle(build_md(mi, h, 0, t), n, 0);
+    for (int q = 0; q < 20; ++q) {
+      const auto dst = static_cast<NodeIdx>(rng.uniform_int(0, n - 1));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(partial.memd(mi, h, 0, dst, t)),
+                std::bit_cast<std::uint64_t>(oracle[static_cast<std::size_t>(dst)]))
+          << "round " << round << " dst " << dst;
+    }
+    const std::vector<double>& dist = full.distances(mi, h, 0, t);
+    for (NodeIdx v = 0; v < n; ++v) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dist[static_cast<std::size_t>(v)]),
+                std::bit_cast<std::uint64_t>(oracle[static_cast<std::size_t>(v)]))
+          << "round " << round << " v " << v;
+    }
+  }
+  EXPECT_EQ(partial.counters().calls, full.counters().calls);
+  EXPECT_LE(partial.counters().settled, full.counters().settled);
 }
 
 }  // namespace

@@ -153,6 +153,23 @@ TEST(MiMatrix, MergeSharesRowsAndWriteCopies) {
   EXPECT_EQ(a.row_data(0), sole);
 }
 
+TEST(MiMatrix, IndexColumnFollowsTheEntry) {
+  const NodeIdx n = 70;  // two index words
+  std::vector<double> row(sparse_row_size(n), 0.0);  // empty column index
+  for (const NodeIdx j : {5, 64, 69}) {
+    row[static_cast<std::size_t>(j)] = j == 64 ? -1.0 : 2.0;
+    index_column(row.data(), n, j);
+  }
+  for (NodeIdx j = 0; j < n; ++j) {
+    EXPECT_EQ(has_column(row.data(), n, j), j == 5 || j == 64 || j == 69) << j;
+  }
+  row[5] = MiMatrix::kUnknown;
+  index_column(row.data(), n, 5);
+  EXPECT_FALSE(has_column(row.data(), n, 5));
+  EXPECT_TRUE(has_column(row.data(), n, 64));
+  EXPECT_TRUE(has_column(row.data(), n, 69));
+}
+
 // The dense n×n matrix the shared-row layout replaced, as a reference
 // model: same get / set_entry / merge_from / reset / version semantics.
 struct DenseMi {
@@ -188,8 +205,22 @@ struct DenseMi {
   std::uint64_t version = 0;
 };
 
+/// Every known row's column index must be exactly its finite off-diagonal
+/// columns: that index is all the Dijkstra kernel walks.
+void expect_column_index(const MiMatrix& mi, int step, int which) {
+  for (NodeIdx i = 0; i < mi.size(); ++i) {
+    const double* row = mi.row_data(i);
+    if (row == nullptr) continue;
+    for (NodeIdx j = 0; j < mi.size(); ++j) {
+      ASSERT_EQ(has_column(row, mi.size(), j), j != i && std::isfinite(row[j]))
+          << "step " << step << " matrix " << which << " (" << i << "," << j << ")";
+    }
+  }
+}
+
 void expect_matches(const MiMatrix& mi, const DenseMi& ref, int step, int which) {
   ASSERT_EQ(mi.version(), ref.version) << "step " << step << " matrix " << which;
+  expect_column_index(mi, step, which);
   for (NodeIdx i = 0; i < ref.n; ++i) {
     ASSERT_EQ(mi.row_time(i), ref.times[static_cast<std::size_t>(i)])
         << "step " << step << " matrix " << which << " row " << i;
@@ -251,6 +282,38 @@ TEST(MiMatrix, SharedRowsMatchDenseModel) {
         expect_matches(shared[static_cast<std::size_t>(m)],
                        dense[static_cast<std::size_t>(m)], step, m);
       }
+    }
+  }
+}
+
+// The same kind of random sequence at n = 70 (a two-word column index),
+// with some entries written back to unknown, so index bits are cleared as
+// well as set, on owned, cloned and shared rows alike.
+TEST(MiMatrix, ColumnIndexTracksFiniteEntries) {
+  constexpr NodeIdx kN = 70;
+  constexpr int kMatrices = 3;
+  util::Pcg32 rng(4, 70);
+  std::vector<MiMatrix> mats(kMatrices, MiMatrix(kN));
+  double clock = 0.0;
+  for (int step = 0; step < 3000; ++step) {
+    const auto a = static_cast<std::size_t>(rng.uniform_int(0, kMatrices - 1));
+    const auto b = static_cast<std::size_t>(rng.uniform_int(0, kMatrices - 1));
+    const double op = rng.next_double();
+    clock += 1.0;
+    if (op < 0.7) {
+      const auto i = static_cast<NodeIdx>(rng.uniform_int(0, 3));  // few rows: more sharing
+      const auto j = static_cast<NodeIdx>(rng.uniform_int(0, kN - 1));
+      const double v = rng.bernoulli(0.2) ? MiMatrix::kUnknown : rng.uniform(1.0, 100.0);
+      mats[a].set_entry(i, j, v, clock);
+    } else if (op < 0.9) {
+      mats[a].merge_from(mats[b]);
+    } else if (op < 0.97) {
+      mats[a] = MiMatrix(mats[b]);
+    } else {
+      mats[a].reset();
+    }
+    for (int m = 0; m < kMatrices; ++m) {
+      expect_column_index(mats[static_cast<std::size_t>(m)], step, m);
     }
   }
 }

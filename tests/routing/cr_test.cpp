@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "../reference_md.hpp"
 #include "../test_support.hpp"
+#include "mobility/random_waypoint.hpp"
+#include "util/rng.hpp"
 
 namespace dtn::routing {
 namespace {
@@ -203,6 +211,75 @@ TEST(Cr, ControlOverheadLowerThanEerStyleFullExchange) {
   // (vs 8*8+8 = 72 for a full row). Bound: summary vectors (0 messages) +
   // at most 2 rows each way.
   EXPECT_LE(world.metrics().control_bytes(), 2 * 2 * 24 + 64);
+}
+
+// MEMD' differential: CrRouter::intra_memd (the sparse kernel over a
+// node-indexed view of MI') against the m×m reference it replaced
+// (build_md_intra + dense Dijkstra), bit for bit, on the MI' and contact
+// histories of a random community world. Also asserts the invariant the
+// node-indexed view relies on: MI' holds rows and finite columns of the
+// router's own community only.
+TEST(Cr, IntraMemdMatchesMemberIndexedReference) {
+  constexpr int kNodes = 30;
+  util::Pcg32 assign(12, 3);
+  std::vector<int> cid(kNodes);
+  for (int v = 0; v < kNodes; ++v) {
+    cid[static_cast<std::size_t>(v)] = v < 3 ? v : static_cast<int>(assign.uniform_int(0, 2));
+  }
+  const auto table = communities(cid);
+  sim::World world(test_world_config(23));
+  mobility::RandomWaypointParams move;
+  move.world_min = {0.0, 0.0};
+  move.world_max = {110.0, 110.0};
+  move.speed_min = 2.0;
+  move.speed_max = 14.0;
+  std::vector<CrRouter*> routers;
+  for (int v = 0; v < kNodes; ++v) {
+    auto router = cr(table, 2);
+    routers.push_back(router.get());
+    world.add_node(move, std::move(router));
+  }
+  world.set_traffic(sim::TrafficParams{});
+  std::size_t compared = 0;
+  for (int checkpoint = 0; checkpoint < 6; ++checkpoint) {
+    world.run(250.0);
+    // A bucket no router has queried yet, so every cache restarts at t.
+    const double t = std::floor(world.now()) + 1.5;
+    for (sim::NodeIdx self = 0; self < kNodes; ++self) {
+      CrRouter& router = *routers[static_cast<std::size_t>(self)];
+      const int own = router.community();
+      const core::MiMatrix* mi = router.mi_intra();
+      ASSERT_NE(mi, nullptr);
+      for (sim::NodeIdx i = 0; i < kNodes; ++i) {
+        const double* row = mi->row_data(i);
+        if (row == nullptr) continue;
+        ASSERT_EQ(table->community_of(i), own) << "foreign row " << i << " at " << self;
+        for (sim::NodeIdx j = 0; j < kNodes; ++j) {
+          if (j != i && std::isfinite(row[j])) {
+            ASSERT_EQ(table->community_of(j), own)
+                << "foreign column (" << i << "," << j << ") at " << self;
+          }
+        }
+      }
+      const auto& members = table->members(own);
+      const auto self_pos = static_cast<sim::NodeIdx>(
+          std::find(members.begin(), members.end(), self) - members.begin());
+      const std::vector<double> reference = test::dense_oracle(
+          test::build_md_intra(*mi, router.history(), *table, own, self, t),
+          static_cast<sim::NodeIdx>(members.size()), self_pos);
+      for (sim::NodeIdx dst = 0; dst < kNodes; ++dst) {
+        const auto at = std::find(members.begin(), members.end(), dst);
+        const double expected =
+            at == members.end() ? std::numeric_limits<double>::infinity()
+                                : reference[static_cast<std::size_t>(at - members.begin())];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(router.intra_memd(dst, t)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "checkpoint " << checkpoint << " self " << self << " dst " << dst;
+        if (std::isfinite(expected) && dst != self) ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);  // the world produced real multi-hop MI'
 }
 
 }  // namespace

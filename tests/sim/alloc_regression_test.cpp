@@ -15,6 +15,8 @@
 //     must stay at ~0 allocations/step;
 //   - the same zero-allocation reseed holds for EER routers, whose MI
 //     views hold shared copy-on-write rows;
+//   - a warm EER router's MEMD restarts (Theorem-2 row, row view, sparse
+//     Dijkstra search) perform zero allocations;
 //   - a ThreadPool::parallel_for dispatch on the warm shared pool must
 //     perform zero allocations on the coordinating thread (no per-task
 //     std::function, no futures, no queue nodes).
@@ -274,6 +276,59 @@ TEST(AllocRegression, EerWorldReseedIsAllocationFree) {
 
   const std::uint64_t reseed_allocs = counted([&] { world.reseed(43); });
   EXPECT_EQ(reseed_allocs, 0u) << "EER World::reseed() must recycle, not allocate";
+}
+
+TEST(AllocRegression, EerMemdRestartsAreAllocationFreeOnceWarm) {
+  // A warm EER world stepping across contacts: each contact rewrites MI
+  // rows, so MEMD queries keep restarting their searches. Once a router's
+  // Theorem-2 row, row view and Dijkstra workspace have grown to n, a
+  // restart and the settling after it allocate nothing.
+  constexpr NodeIdx kNodes = 60;
+  WorldConfig config;
+  config.seed = 57;
+  World world(config);
+  mobility::RandomWaypointParams move;
+  move.world_min = {0.0, 0.0};
+  const double side = std::sqrt(120.0 * kNodes);
+  move.world_max = {side, side};
+  move.speed_min = 2.0;
+  move.speed_max = 14.0;
+  std::vector<routing::EerRouter*> routers;
+  for (NodeIdx i = 0; i < kNodes; ++i) {
+    auto router = std::make_unique<routing::EerRouter>(routing::EerParams{});
+    routers.push_back(router.get());
+    world.add_node(move, std::move(router));
+  }
+  TrafficParams traffic;
+  traffic.interval_min = 2.0;
+  traffic.interval_max = 4.0;
+  world.set_traffic(traffic);
+  for (int i = 0; i < 3000; ++i) world.step();
+
+  double sink = 0.0;
+  auto query_all = [&](double t) {
+    for (routing::EerRouter* router : routers) {
+      for (NodeIdx dst = kNodes - 1; dst >= 0; dst -= 7) sink += router->memd(dst, t);
+    }
+  };
+  auto restarts = [&] {
+    std::uint64_t calls = 0;
+    for (const routing::EerRouter* router : routers) {
+      calls += router->dijkstra_counters().calls;
+    }
+    return calls;
+  };
+  query_all(world.now() + 0.5);  // every workspace has now grown to n
+  const std::uint64_t restarts_before = restarts();
+  std::uint64_t allocs = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 50; ++i) world.step();  // contacts move MI
+    const double t = world.now() + 0.5;
+    allocs += counted([&] { query_all(t); });
+  }
+  EXPECT_GE(restarts() - restarts_before, 20u * kNodes / 2) << "searches did not restart";
+  EXPECT_EQ(allocs, 0u) << "warm MEMD restarts must not heap-allocate";
+  EXPECT_FALSE(std::isnan(sink));
 }
 
 TEST(AllocRegression, ParallelForDispatchIsAllocationFree) {

@@ -480,6 +480,9 @@ int cmd_run(const std::string& path, const util::Flags& flags) {
   options.seeds = static_cast<int>(seeds);
   options.seed_base = static_cast<std::uint64_t>(seed_base);
   options.threads = static_cast<std::size_t>(threads);
+  // A run is one point, not a campaign: a failing seed is reported in
+  // run's own words below, not as a sweep point.
+  options.isolate_failures = true;
   if (!flags.get_bool("quiet", false)) {
     options.progress = [](const std::string& label) {
       std::fprintf(stderr, "  done: %s\n", label.c_str());
@@ -490,6 +493,10 @@ int cmd_run(const std::string& path, const util::Flags& flags) {
               options.base.duration_s, options.base.protocol.name.c_str(),
               options.seeds);
   const auto results = harness::run_spec_sweep(options);
+  if (!results.empty() && results.front().exec.failed()) {
+    std::fprintf(stderr, "dtnsim run: %s\n", results.front().exec.error.c_str());
+    return 1;
+  }
   if (results.empty() || results.front().result.delivery_ratio.count() == 0) {
     std::fprintf(stderr, "no runs executed (seeds = %d)\n", options.seeds);
     return 1;
