@@ -2,7 +2,8 @@
 // kernel. Runs a random-waypoint + epidemic workload and reports steps/sec
 // and contact-events/sec at n in {100, 500, 2000}, plus the exact number
 // of contact events in the timed window — a host-independent work count
-// that pins the workload itself. Results land in BENCH_world_step.json
+// that pins the workload itself — and the skin list's exact work over the
+// same window: candidate-list rebuilds and candidate pairs range-tested. Results land in BENCH_world_step.json
 // (committed at the repo root) so successive PRs have a comparable perf
 // history.
 //
@@ -30,8 +31,8 @@
 // over 2000 s, each point in a forked child so its peak RSS is its own.
 // Besides wall time and peak RSS it reports the exact work of the routers'
 // shortest-path searches (calls, vertices settled, edges relaxed, summed
-// over routers), host-independent counts that bench_smoke gates on the
-// --smoke point.
+// over routers) and of the skin list, host-independent counts that
+// bench_smoke gates on the --smoke point.
 //
 // Flags: --steps N (timed steps, default 1500), --warmup N (default 300),
 //        --out PATH (default BENCH_world_step.json), --smoke (tiny sizes
@@ -87,6 +88,8 @@ struct RunResult {
   double steps_per_sec = 0.0;
   double contact_events_per_sec = 0.0;
   std::int64_t contact_events = 0;
+  std::int64_t candidate_rebuilds = 0;  ///< skin-list work, whole timed window
+  std::int64_t candidates_tested = 0;
 };
 
 /// Extra knobs for the buffer-pressure workload; defaults reproduce the
@@ -144,6 +147,8 @@ double time_segment(sim::World& world, int steps) {
 RunResult timed_run(sim::World& world, int warmup, int steps, int trials) {
   for (int i = 0; i < warmup; ++i) world.step();
   const std::int64_t before = world.contact_events();
+  const std::int64_t rebuilds_before = world.candidate_rebuilds();
+  const std::int64_t tested_before = world.candidates_tested();
   double best = 1e300;
   std::int64_t best_events = 0;
   for (int t = 0; t < trials; ++t) {
@@ -158,6 +163,8 @@ RunResult timed_run(sim::World& world, int warmup, int steps, int trials) {
   // segment) so steps_per_sec and contact_events_per_sec stay consistent.
   RunResult run;
   run.contact_events = world.contact_events() - before;
+  run.candidate_rebuilds = world.candidate_rebuilds() - rebuilds_before;
+  run.candidates_tested = world.candidates_tested() - tested_before;
   run.steps_per_sec = steps / best;
   run.contact_events_per_sec = static_cast<double>(best_events) / best;
   return run;
@@ -232,6 +239,8 @@ struct PaperPoint {
   double wall_s = 0.0;
   double peak_rss_mb = 0.0;
   core::DijkstraCounters dijkstra;  ///< summed over the EER / CR routers
+  std::int64_t candidate_rebuilds = 0;
+  std::int64_t candidates_tested = 0;
 };
 
 /// Runs the bus scenario for `protocol` at `nodes` buses over `duration`
@@ -262,6 +271,8 @@ bool run_paper_point(const std::string& protocol, int nodes, double duration,
       point.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                          .count();
       const sim::World& world = *runner.world();
+      point.candidate_rebuilds = world.candidate_rebuilds();
+      point.candidates_tested = world.candidates_tested();
       for (sim::NodeIdx v = 0; v < world.node_count(); ++v) {
         const core::DijkstraCounters* c = nullptr;
         if (const auto* eer = dynamic_cast<const routing::EerRouter*>(&world.router_of(v))) {
@@ -357,21 +368,26 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("%-4s n=%-4d %7.2f s | %6.1f MB | dijkstra %llu calls, %llu settled, "
-                "%llu relaxed\n",
+                "%llu relaxed | %lld list rebuilds, %lld candidates tested\n",
                 c.protocol, c.nodes, point.wall_s, point.peak_rss_mb,
                 static_cast<unsigned long long>(point.dijkstra.calls),
                 static_cast<unsigned long long>(point.dijkstra.settled),
-                static_cast<unsigned long long>(point.dijkstra.relaxed));
+                static_cast<unsigned long long>(point.dijkstra.relaxed),
+                static_cast<long long>(point.candidate_rebuilds),
+                static_cast<long long>(point.candidates_tested));
     std::fflush(stdout);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "      {\"protocol\": \"%s\", \"nodes\": %d, \"wall_s\": %.3f, "
                   "\"peak_rss_mb\": %.1f, \"dijkstra_calls\": %llu, "
-                  "\"dijkstra_settled\": %llu, \"dijkstra_relaxed\": %llu}%s\n",
+                  "\"dijkstra_settled\": %llu, \"dijkstra_relaxed\": %llu, "
+                  "\"candidate_rebuilds\": %lld, \"candidates_tested\": %lld}%s\n",
                   c.protocol, c.nodes, point.wall_s, point.peak_rss_mb,
                   static_cast<unsigned long long>(point.dijkstra.calls),
                   static_cast<unsigned long long>(point.dijkstra.settled),
                   static_cast<unsigned long long>(point.dijkstra.relaxed),
+                  static_cast<long long>(point.candidate_rebuilds),
+                  static_cast<long long>(point.candidates_tested),
                   i + 1 < paper_cases.size() ? "," : "");
     json += buf;
   }
@@ -385,16 +401,22 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     auto world = bench::build_world(n, /*with_traffic=*/true, density);
     const bench::RunResult run = bench::timed_run(*world, warmup, steps, trials);
-    std::printf("n=%-5d %9.1f steps/s | %.0f contact-events/s | %lld contact events\n",
+    std::printf("n=%-5d %9.1f steps/s | %.0f contact-events/s | %lld contact events "
+                "| %lld list rebuilds, %lld candidates tested\n",
                 n, run.steps_per_sec, run.contact_events_per_sec,
-                static_cast<long long>(run.contact_events));
+                static_cast<long long>(run.contact_events),
+                static_cast<long long>(run.candidate_rebuilds),
+                static_cast<long long>(run.candidates_tested));
     std::fflush(stdout);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"nodes\": %d, \"incremental_steps_per_sec\": %.1f, "
-                  "\"contact_events_per_sec\": %.1f, \"contact_events\": %lld}%s\n",
+                  "\"contact_events_per_sec\": %.1f, \"contact_events\": %lld, "
+                  "\"candidate_rebuilds\": %lld, \"candidates_tested\": %lld}%s\n",
                   n, run.steps_per_sec, run.contact_events_per_sec,
                   static_cast<long long>(run.contact_events),
+                  static_cast<long long>(run.candidate_rebuilds),
+                  static_cast<long long>(run.candidates_tested),
                   i + 1 < node_counts.size() ? "," : "");
     json += buf;
   }
@@ -500,16 +522,22 @@ int main(int argc, char** argv) {
     const double fixed_sps = grid_steps / fixed_secs;
     const double event_sps = grid_steps / event_secs;
     const double speedup = event_sps / fixed_sps;
+    // The fixed-dt side's skin-list work over its last run (reseed zeroes it).
     std::printf("n=%-5d fixed-dt %9.1f steps/s | event %9.1f steps/s | %.2fx "
-                "| %lld contacts\n",
+                "| %lld contacts | fixed-dt %lld list rebuilds, %lld candidates tested\n",
                 n, fixed_sps, event_sps, speedup,
-                static_cast<long long>(event_world->contact_events()));
+                static_cast<long long>(event_world->contact_events()),
+                static_cast<long long>(fixed_world->candidate_rebuilds()),
+                static_cast<long long>(fixed_world->candidates_tested()));
     std::fflush(stdout);
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "      {\"nodes\": %d, \"fixed_steps_per_sec\": %.1f, "
-                  "\"event_steps_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
+                  "\"event_steps_per_sec\": %.1f, \"speedup\": %.2f, "
+                  "\"candidate_rebuilds\": %lld, \"candidates_tested\": %lld}%s\n",
                   n, fixed_sps, event_sps, speedup,
+                  static_cast<long long>(fixed_world->candidate_rebuilds()),
+                  static_cast<long long>(fixed_world->candidates_tested()),
                   i + 1 < kernel_nodes.size() ? "," : "");
     json += buf;
   }

@@ -45,7 +45,8 @@ set(WORLD_STEP_FIELDS
     bench workload steps points incremental_steps_per_sec contact_events
     buffer_pressure slab_steps_per_sec event_kernel fixed_steps_per_sec
     event_steps_per_sec speedup allocs_per_step paper_protocols wall_s
-    peak_rss_mb dijkstra_calls dijkstra_settled dijkstra_relaxed)
+    peak_rss_mb dijkstra_calls dijkstra_settled dijkstra_relaxed
+    candidate_rebuilds candidates_tested)
 set(SWEEP_FIELDS
     bench campaign runs reused_runs_per_sec reused_points_per_sec
     parallel_runs_per_sec aggregates_identical allocs_per_reused_seed
@@ -80,4 +81,21 @@ if(NOT smoke_dijkstra STREQUAL expected_dijkstra)
   message(FATAL_ERROR
           "bench_smoke: bench_world_step smoke dijkstra calls;settled;relaxed are "
           "\"${smoke_dijkstra}\", expected \"${expected_dijkstra}\"")
+endif()
+
+# The skin list's work is just as exact: candidate-list rebuilds and
+# candidate pairs range-tested, for every smoke point in file order (paper
+# EER n = 80; random waypoint n = 100, 500 over the timed window; the
+# sparse field's fixed-dt run). A contact layer that rebuilt its list
+# every step would report one rebuild per step here.
+foreach(counter candidate_rebuilds candidates_tested)
+  string(REGEX MATCHALL "\"${counter}\": [0-9]+" matches "${smoke_world_step}")
+  string(REGEX REPLACE "\"${counter}\": " "" values "${matches}")
+  list(APPEND smoke_skin "${values}")
+endforeach()
+set(expected_skin "1872;25;25;75;124281;290334;1660780;5400")
+if(NOT smoke_skin STREQUAL expected_skin)
+  message(FATAL_ERROR
+          "bench_smoke: bench_world_step smoke candidate_rebuilds then "
+          "candidates_tested are \"${smoke_skin}\", expected \"${expected_skin}\"")
 endif()

@@ -10,6 +10,8 @@
 #   - `run` on a missing file — exit 1;
 #   - `run` on a trace-driven workload with a malformed traffic.file line
 #     — exit 1 with the trace's path:line diagnostic;
+#   - `run` with a non-positive world.radio_range / world.step_dt or a
+#     bus speed_min of 0 — exit 1 with the validate_spec diagnostic;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
 #     summary line (a new example cfg must ship
 #     tests/cli/expected/check_<name>.stdout alongside it);
@@ -209,6 +211,20 @@ golden_case("sweep --resume corrupt tail" ${RESUME_DIR} 0
             - sweep_resume_corrupt_tail.stderr
             sweep ${FIXTURE} --axis protocol.copies=2,4 --seeds 1 --quiet
             --journal torn.j --resume)
+
+# ---- world and bus values that used to run silently wrong ------------------
+# A negative radio range still found contacts and a zero step simulated
+# nothing, both with exit 0; a bus at speed_min 0 jumped stop to stop. Each
+# is now refused by validate_spec (exit 1, one line on stderr).
+golden_case("run --set world.radio_range=-10" ${SOURCE_DIR} 1
+            - run_bad_radio_range.stderr
+            run examples/helsinki_buses.cfg --set world.radio_range=-10 --quiet)
+golden_case("run --set world.step_dt=0" ${SOURCE_DIR} 1
+            - run_bad_step_dt.stderr
+            run examples/helsinki_buses.cfg --set world.step_dt=0 --quiet)
+golden_case("run --set group.buses.speed_min=0" ${SOURCE_DIR} 1
+            - run_bad_bus_speed.stderr
+            run examples/helsinki_buses.cfg --set group.buses.speed_min=0 --quiet)
 
 # ---- traffic.file diagnostics -------------------------------------------------
 # The committed trace's line 3 has a fractional size ("25.5"); `run` must

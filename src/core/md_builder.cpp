@@ -7,17 +7,44 @@
 
 namespace dtn::core {
 
-void theorem2_row(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
-                  double* row, std::vector<double>& window) {
+namespace {
+
+/// An empty sparse row: +inf everywhere, 0 at self, no column indexed.
+void clear_row(NodeIdx self, NodeIdx n, double* row) {
   std::fill_n(row, n, MiMatrix::kUnknown);
   row[static_cast<std::size_t>(self)] = 0.0;
-  std::fill(row + n, row + sparse_row_size(n), 0.0);  // empty column index
+  std::fill(row + n, row + sparse_row_size(n), 0.0);
+}
+
+/// Whether Theorem 2 has intervals to work on for this pair.
+bool has_window(const PairHistory& ph) { return ph.met && !ph.intervals.empty(); }
+
+/// Theorem 2 for one met peer at time t.
+double theorem2_entry(const PairHistory& ph, double t, std::vector<double>& window) {
+  window.assign(ph.intervals.begin(), ph.intervals.end());
+  return expected_meeting_delay(window, t - ph.last_contact);
+}
+
+}  // namespace
+
+void theorem2_row(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
+                  double* row, std::vector<double>& window) {
+  clear_row(self, n, row);
   for (const auto& [peer, ph] : history.pairs()) {
-    if (peer == self || peer < 0 || peer >= n) continue;
-    if (!ph.met || ph.intervals.empty()) continue;
-    const double elapsed = t - ph.last_contact;
-    window.assign(ph.intervals.begin(), ph.intervals.end());
-    row[static_cast<std::size_t>(peer)] = expected_meeting_delay(window, elapsed);
+    if (peer == self || peer < 0 || peer >= n || !has_window(ph)) continue;
+    row[static_cast<std::size_t>(peer)] = theorem2_entry(ph, t, window);
+    index_column(row, n, peer);
+  }
+}
+
+void theorem2_row_over(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
+                       const std::vector<NodeIdx>& peers, double* row,
+                       std::vector<double>& window) {
+  clear_row(self, n, row);
+  for (const NodeIdx peer : peers) {
+    const PairHistory* ph = peer == self ? nullptr : history.pair(peer);
+    if (ph == nullptr || !has_window(*ph)) continue;
+    row[static_cast<std::size_t>(peer)] = theorem2_entry(*ph, t, window);
     index_column(row, n, peer);
   }
 }

@@ -38,6 +38,13 @@ std::vector<double> build_md(const MiMatrix& mi, const ContactHistory& history,
 void theorem2_row(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
                   double* row, std::vector<double>& window);
 
+/// theorem2_row restricted to `peers` (CR's own community): Theorem 2 runs
+/// for the listed met peers only, and each of their entries and index bits
+/// equals theorem2_row's. Every other column stays +inf and unindexed.
+void theorem2_row_over(const ContactHistory& history, NodeIdx self, double t, NodeIdx n,
+                       const std::vector<NodeIdx>& peers, double* row,
+                       std::vector<double>& window);
+
 /// Caches the Dijkstra search from `self` over the MD of one MI, whose rows
 /// it reads between queries. Restarts it (O(n) Theorem-2 row) when
 /// (mi.version, history pair count, time bucket) changed; the bucket

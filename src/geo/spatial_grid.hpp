@@ -3,10 +3,14 @@
 //  - Rebuild mode: clear() + insert() every pass, for small clouds and
 //    tests.
 //  - Incremental mode: update(id, pos) moves a point between cells only
-//    when it actually crosses a cell boundary (a ~10 m cell at vehicular
-//    speeds and 0.1 s steps means ~90% of updates touch nothing but the
-//    stored position). Combined with all_pairs_into() this makes a full
-//    detection pass allocation- and hash-lookup-free in steady state.
+//    when it actually crosses a cell boundary. Combined with
+//    all_pairs_into() this makes a full pass allocation- and
+//    hash-lookup-free in steady state.
+//
+// sim::World uses incremental mode to build its skin list of candidate
+// pairs (sim/world.hpp): cells as wide as the list range r + s (three radio
+// ranges), updated and swept only on the steps that rebuild the list, not
+// every step.
 //
 // Cells live in a slot vector; each cell caches the indices of its four
 // forward neighbors (E, NE, N, NW), patched when cells are created or
@@ -73,8 +77,8 @@ class SpatialGrid {
 
   /// All unordered pairs (a < b) within `radius` of each other, via hash
   /// lookups per neighbor cell and a freshly allocated result
-  /// (all_pairs_into is the fast path). Precondition: radius <= cell_size() (the detector
-  /// constructs the grid with cell == radio range, so this always holds).
+  /// (all_pairs_into is the fast path). Precondition: radius <= cell_size()
+  /// (World sweeps with radius == cell == its list range, so this holds).
   [[nodiscard]] std::vector<std::pair<std::int32_t, std::int32_t>> all_pairs(
       double radius) const;
 
@@ -107,9 +111,8 @@ class SpatialGrid {
   /// Cells hold member ids only — positions live in the id-indexed
   /// pos_by_id_ array (sequentially rewritten by update(), L1-resident
   /// during the pair sweep). Ids live inline in the cell up to kInline
-  /// (with 10 m cells and DTN densities the mean occupancy is ~1, so
-  /// overflow is rare); the overflow vector keeps correctness for dense
-  /// hot spots. This makes the pair sweep one cache fetch per cell instead
+  /// (at DTN densities a cell holds a few ids, so overflow is rare); the
+  /// overflow vector keeps correctness for dense hot spots. This makes the pair sweep one cache fetch per cell instead
   /// of a dependent cell -> heap-vector pointer chase.
   struct Cell {
     static constexpr std::uint32_t kInline = 8;

@@ -46,6 +46,16 @@ void bus_assign_communities(const GroupBuildContext& ctx, const GroupSpec& group
   }
 }
 
+void bus_validate(const GroupSpec& group) {
+  // At speed 0 the bus lane spends the whole step on the leg and lands on
+  // the next stop, so the bus would jump stop to stop every step.
+  const double speed_min = group.params.bus.speed_min;
+  if (!(speed_min > 0.0)) {
+    build_error(group, "bus speed_min must be > 0 (got " +
+                           util::format_value(speed_min) + ")");
+  }
+}
+
 void bus_add_nodes(sim::World& world, const GroupBuildContext& ctx,
                    const GroupSpec& group) {
   if (ctx.map.routes.empty()) {
@@ -272,7 +282,7 @@ void validate_traffic(const ScenarioSpec& spec) {
 std::vector<GroupBuilder>& registry() {
   static std::vector<GroupBuilder> builders{
       {"bus", bus_assign_communities, bus_add_nodes,
-       /*needs_routes=*/true, /*needs_trace=*/false},
+       /*needs_routes=*/true, /*needs_trace=*/false, bus_validate},
       {"random_waypoint", round_robin_communities, waypoint_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/false},
       {"community", round_robin_communities, community_add_nodes,
@@ -378,6 +388,15 @@ void validate_spec(const ScenarioSpec& spec) {
   }
   if (!(spec.duration_s > 0.0)) {
     throw std::invalid_argument("scenario.duration must be > 0");
+  }
+  // Neither fails at run time: a negative range still finds contacts (the
+  // range test squares it) and a zero step simulates nothing.
+  for (const auto& [key, value] : {std::pair{"world.radio_range", spec.world.radio_range},
+                                   std::pair{"world.step_dt", spec.world.step_dt}}) {
+    if (!std::isfinite(value) || !(value > 0.0)) {
+      throw std::invalid_argument(std::string(key) + " must be finite and > 0 (got " +
+                                  util::format_value(value) + ")");
+    }
   }
   const geo::MapKindInfo* map_kind = geo::find_map_kind(spec.map.kind);
   if (map_kind == nullptr) {

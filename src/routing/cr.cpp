@@ -47,11 +47,8 @@ double CrRouter::intra_memd(sim::NodeIdx dst, double t) {
   if (mi_intra_->version() != intra_version_ || bucket != intra_bucket_) {
     const sim::NodeIdx n = mi_intra_->size();
     own_row_.resize(core::sparse_row_size(n));
-    core::theorem2_row(history_, self(), t, n, own_row_.data(), window_);
-    std::fill(own_row_.begin() + n, own_row_.end(), 0.0);  // index the members only
-    for (const sim::NodeIdx v : communities_->members(community())) {
-      if (v != self()) core::index_column(own_row_.data(), n, v);
-    }
+    core::theorem2_row_over(history_, self(), t, n, communities_->members(community()),
+                            own_row_.data(), window_);
     dijkstra_.start(*mi_intra_, self(), own_row_.data());
     intra_version_ = mi_intra_->version();
     intra_bucket_ = bucket;

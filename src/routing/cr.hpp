@@ -76,9 +76,10 @@ class CrRouter final : public sim::Router {
   /// Intra-community MI', indexed by global node id. Only own-community
   /// rows are ever written or exchanged, so only they hold storage.
   std::unique_ptr<core::MiMatrix> mi_intra_;
-  /// MEMD' search over MI' with the own Theorem-2 row, indexed on the
-  /// members only, as row self. MI' holds own-community rows and columns
-  /// only, so it stays in the community. Restarts on (MI' version, floor(t)).
+  /// MEMD' search over MI' with the own Theorem-2 row, computed and
+  /// indexed on the members only, as row self. MI' holds own-community
+  /// rows and columns only, so it stays in the community. Restarts on
+  /// (MI' version, floor(t)).
   std::vector<double> own_row_;
   std::vector<double> window_;
   core::DijkstraWorkspace dijkstra_;

@@ -9,7 +9,32 @@
 
 namespace dtn::sim {
 
-World::World(WorldConfig config) : config_(config), grid_(config.radio_range) {}
+namespace {
+
+// Skin-list contact detection (the Verlet neighbour list of molecular
+// dynamics: Verlet, Phys. Rev. 159, 1967). The candidate list holds every
+// pair within r + s of each other at a snapshot of positions. While no
+// node has moved more than s/2 from its snapshot position, a pair within
+// r now was within r + s then, so filtering the list is exact. The test
+// needs no speed bound, so it covers every movement lane, custom models
+// and teleports alike.
+//
+// The skin s = 2r. A wider skin rebuilds less often but tests more
+// candidates per step. Measured with perfbench bus_epidemic on a 4-core
+// shared Xeon, where the per-step grid sweep ran at 3.77k / 3.50k sim-s/s
+// in the same window: s = 1r 6.36k, 1.5r 6.57k, 2r 7.16k, 2.5r 7.16k and
+// 3r 7.25k sim-s/s. Dense random waypoint was flat across the range.
+constexpr double kSkinPerRange = 2.0;
+// Rebuild a little before a node reaches s/2, so that rounding in the
+// displacement, range and grid tests can never drop a pair at exactly r.
+constexpr double kHalfSkinSlack = 1e-6;
+
+double list_range(double radio_range) { return radio_range * (1.0 + kSkinPerRange); }
+
+}  // namespace
+
+World::World(WorldConfig config)
+    : config_(config), grid_(list_range(config.radio_range)) {}
 
 World::~World() = default;
 
@@ -101,6 +126,10 @@ void World::clear_sim_state() {
     free_slots_.push_back(static_cast<std::uint32_t>(s));
   }
   live_connections_ = 0;
+  candidates_.clear();
+  candidates_valid_ = false;
+  candidate_rebuilds_ = 0;
+  candidates_tested_ = 0;
   prev_pairs_.clear();
   active_slots_.clear();
   metrics_.reset();
@@ -112,8 +141,8 @@ void World::reset(const WorldConfig& config) {
   const double old_range = config_.radio_range;
   config_ = config;
   if (config_.radio_range != old_range) {
-    // Cell size must match the radio range.
-    grid_ = geo::SpatialGrid(config_.radio_range);
+    // Cell size must match the candidate-list range.
+    grid_ = geo::SpatialGrid(list_range(config_.radio_range));
   } else {
     // Full cell reset: the rebuilt scenario's map (and thus its occupied
     // region) may differ, and clear()-retained foreign cells would slow
@@ -336,6 +365,7 @@ void World::run(double duration) {
   if (config_.event_kernel && engine_.kinetic_capable()) {
     event_kernel_used_ = true;
     EventKernel(*this).run(step_count_, step_count_ + steps);
+    candidates_valid_ = false;  // nodes moved without the list
     return;
   }
   for (std::int64_t i = 0; i < steps; ++i) step();
@@ -428,21 +458,45 @@ void World::sort_pair_keys(std::vector<std::uint64_t>& keys) {
   }
 }
 
-void World::detect_contacts() {
-  // Incremental grid maintenance: only boundary crossings touch cells. The
-  // engine's contiguous position array feeds the grid without touching the
-  // Node structs at all.
+bool World::candidates_stale(const std::vector<geo::Vec2>& pos) const {
+  const double half_skin =
+      0.5 * kSkinPerRange * config_.radio_range * (1.0 - kHalfSkinSlack);
+  const double limit2 = half_skin * half_skin;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    if (pos[i].distance2_to(snapshot_[i]) > limit2) return true;
+  }
+  return false;
+}
+
+void World::rebuild_candidates(const std::vector<geo::Vec2>& pos) {
+  // Incremental grid maintenance: only boundary crossings touch cells.
   grid_.advance_epoch();
-  const std::vector<geo::Vec2>& pos = engine_.positions();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+  for (std::size_t i = 0; i < pos.size(); ++i) {
     grid_.update(static_cast<NodeIdx>(i), pos[i]);
   }
-  grid_.all_pairs_into(config_.radio_range, pair_scratch_);
+  grid_.all_pairs_into(list_range(config_.radio_range), pair_scratch_);
+  candidates_.clear();
+  for (const auto& [a, b] : pair_scratch_) candidates_.push_back(pair_key(a, b));
+  // Key order == ascending (a, b); filtering keeps it, so each step's
+  // pairs come out in the deterministic link-event callback order.
+  sort_pair_keys(candidates_);
+  snapshot_.assign(pos.begin(), pos.end());
+  candidates_valid_ = true;
+  ++candidate_rebuilds_;
+}
+
+void World::detect_contacts() {
+  const std::vector<geo::Vec2>& pos = engine_.positions();
+  if (!candidates_valid_ || candidates_stale(pos)) rebuild_candidates(pos);
+  const double r2 = config_.radio_range * config_.radio_range;
   curr_pairs_.clear();
-  for (const auto& [a, b] : pair_scratch_) curr_pairs_.push_back(pair_key(a, b));
-  // Key order == ascending (a, b), so sorting gives the deterministic
-  // link-event callback order.
-  sort_pair_keys(curr_pairs_);
+  for (const std::uint64_t key : candidates_) {
+    const geo::Vec2 pa = pos[static_cast<std::size_t>(key >> 32)];
+    if (pa.distance2_to(pos[static_cast<std::size_t>(key & 0xffffffffu)]) <= r2) {
+      curr_pairs_.push_back(key);
+    }
+  }
+  candidates_tested_ += static_cast<std::int64_t>(candidates_.size());
 
   // Link-down: in range last step, out of range now.
   diff_scratch_.clear();

@@ -10,6 +10,12 @@
 //    `const std::vector<NodeIdx>&` view;
 //  - a slot pool of Connection records addressed through the adjacency
 //    lists (no per-link hash map), recycled across link churn;
+//  - a skin list of candidate pairs: every pair within r + s (s = 2r) of
+//    each other at a snapshot of positions, as sorted pair keys. Each step
+//    filters it with the exact range test, which yields this step's pairs
+//    already sorted; the list is rebuilt (spatial grid update + sweep)
+//    only once some node has moved more than s/2 from its snapshot
+//    position, so a pair in range now is always on the list;
 //  - sorted pair-key vectors diffed against the previous step's to derive
 //    link-up/link-down events without rebuilding any set structure;
 //  - an active-transfers index so progress_transfers() visits only
@@ -170,6 +176,15 @@ class World {
   [[nodiscard]] std::size_t active_connection_count() const noexcept {
     return live_connections_;
   }
+  /// Skin-list work since the last reset()/reseed(), both exact and
+  /// host-independent: how often the fixed-dt loop rebuilt its candidate
+  /// list, and how many candidate pairs it range-tested in total.
+  [[nodiscard]] std::int64_t candidate_rebuilds() const noexcept {
+    return candidate_rebuilds_;
+  }
+  [[nodiscard]] std::int64_t candidates_tested() const noexcept {
+    return candidates_tested_;
+  }
 
  private:
   /// The kinetic kernel replays the exact step-grid semantics through the
@@ -276,6 +291,10 @@ class World {
 
   void move_nodes();
   void sort_pair_keys(std::vector<std::uint64_t>& keys);
+  /// True when some node is more than half a skin from its snapshot
+  /// position, so the candidate list may miss a pair in range.
+  [[nodiscard]] bool candidates_stale(const std::vector<geo::Vec2>& pos) const;
+  void rebuild_candidates(const std::vector<geo::Vec2>& pos);
   void detect_contacts();
   void progress_transfers();
   void complete_transfer(Transfer& tr);
@@ -298,7 +317,7 @@ class World {
   bool event_kernel_used_ = false;
   std::vector<Node> nodes_;
   mobility::MovementEngine engine_;  ///< SoA positions + trajectory state
-  geo::SpatialGrid grid_;
+  geo::SpatialGrid grid_;            ///< cell = r + s; touched on rebuilds only
   bool rebuilding_ = false;          ///< between reset() and finalize_rebuild()
   std::size_t rebuild_cursor_ = 0;   ///< node slots re-registered so far
 
@@ -307,6 +326,11 @@ class World {
   std::vector<Connection> conn_pool_;        // recycled connection slots
   std::vector<std::uint32_t> free_slots_;    // free list into conn_pool_
   std::size_t live_connections_ = 0;
+  std::vector<std::uint64_t> candidates_;    // sorted keys within r + s at snapshot_
+  std::vector<geo::Vec2> snapshot_;          // positions candidates_ was built from
+  bool candidates_valid_ = false;            // false after reset/reseed/event kernel
+  std::int64_t candidate_rebuilds_ = 0;
+  std::int64_t candidates_tested_ = 0;
   std::vector<std::uint64_t> prev_pairs_;    // sorted pair keys, last step
   std::vector<std::uint64_t> curr_pairs_;    // scratch: sorted keys, this step
   std::vector<std::uint64_t> diff_scratch_;  // scratch: ups/downs of the diff

@@ -66,6 +66,36 @@ TEST(MdBuilder, Theorem2RowCoversMetPeersOnly) {
   for (NodeIdx j = 0; j < 4; ++j) EXPECT_EQ(has_column(row.data(), 4, j), j == 1) << j;
 }
 
+TEST(MdBuilder, Theorem2RowOverListedPeersMatchesTheFullRow) {
+  // Peers 1, 3 and 5 met with intervals, 2 met once, 4 never; the list
+  // names self, 1, 2, 4 and 5 but not 3.
+  ContactHistory h(8);
+  for (const NodeIdx peer : {1, 3, 5}) {
+    h.record_contact(peer, 2.0 * peer);
+    h.record_contact(peer, 7.0 * peer + 3.0);
+    h.record_contact(peer, 11.0 * peer + 9.0);
+  }
+  h.record_contact(2, 10.0);
+  const NodeIdx n = 70;  // two index words
+  std::vector<double> full(sparse_row_size(n));
+  std::vector<double> over(sparse_row_size(n), -1.0);
+  std::vector<double> window;
+  theorem2_row(h, 0, 90.0, n, full.data(), window);
+  theorem2_row_over(h, 0, 90.0, n, {0, 1, 2, 4, 5}, over.data(), window);
+  for (NodeIdx j = 0; j < n; ++j) {
+    const bool listed_and_met = j == 1 || j == 5;
+    if (listed_and_met || j == 0) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(over[static_cast<std::size_t>(j)]),
+                std::bit_cast<std::uint64_t>(full[static_cast<std::size_t>(j)]))
+          << j;
+    } else {
+      EXPECT_TRUE(std::isinf(over[static_cast<std::size_t>(j)])) << j;
+    }
+    EXPECT_EQ(has_column(over.data(), n, j), listed_and_met) << j;
+  }
+  EXPECT_TRUE(has_column(full.data(), n, 3));  // met, but not listed
+}
+
 TEST(MemdCache, ReturnsSameAsDirectComputation) {
   const NodeIdx n = 4;
   MiMatrix mi(n);

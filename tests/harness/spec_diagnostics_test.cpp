@@ -1,6 +1,8 @@
 // Spec parser diagnostics: line-numbered unknown-key and bad-value
 // reporting, multi-error collection, suggestions, and the structural rules
 // (group declaration order, scenario.nodes alias, validate_spec).
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
@@ -184,6 +186,32 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   EXPECT_THROW(validate_spec(bad_margin), std::invalid_argument);
 
   ScenarioSpec ok = test::bus_spec();
+  EXPECT_NO_THROW(validate_spec(ok));
+}
+
+TEST(SpecDiagnostics, ValidateSpecRejectsWorldValuesThatRunWrong) {
+  // Each of these used to run to exit 0: a negative range still found
+  // contacts, a zero or NaN step simulated nothing, a bus at speed 0
+  // jumped to its next stop every step.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-10.0, 0.0, nan, inf}) {
+    ScenarioSpec range = test::bus_spec();
+    range.world.radio_range = bad;
+    EXPECT_THROW(validate_spec(range), std::invalid_argument) << "radio_range " << bad;
+    ScenarioSpec step = test::bus_spec();
+    step.world.step_dt = bad;
+    EXPECT_THROW(validate_spec(step), std::invalid_argument) << "step_dt " << bad;
+  }
+  for (const double bad : {0.0, -1.0, nan}) {
+    ScenarioSpec bus = test::bus_spec();
+    bus.groups[0].params.bus.speed_min = bad;
+    EXPECT_THROW(validate_spec(bus), std::invalid_argument) << "speed_min " << bad;
+  }
+  ScenarioSpec ok = test::bus_spec();
+  ok.world.radio_range = 1e-3;
+  ok.world.step_dt = 1e-3;
+  ok.groups[0].params.bus.speed_min = 0.1;
   EXPECT_NO_THROW(validate_spec(ok));
 }
 

@@ -13,6 +13,8 @@
 //   - World::reseed() of a warmed world must perform exactly zero
 //     allocations, and a whole reused-world seed (reseed + full re-run)
 //     must stay at ~0 allocations/step;
+//   - the same zero-allocation reseed holds on a bus + waypoint world
+//     with a populated skin list (candidate keys, snapshot, grid);
 //   - the same zero-allocation reseed holds for EER routers, whose MI
 //     views hold shared copy-on-write rows;
 //   - a warm EER router's MEMD restarts (Theorem-2 row, row view, sparse
@@ -35,6 +37,8 @@
 #include <gtest/gtest.h>
 
 #include "../test_support.hpp"
+#include "geo/polyline.hpp"
+#include "mobility/bus_movement.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "routing/eer.hpp"
 #include "routing/epidemic.hpp"
@@ -247,6 +251,52 @@ TEST(AllocRegression, MatrixWorkloadReseedIsAllocationFree) {
   const std::uint64_t reseed_allocs = counted([&] { world.reseed(33); });
   EXPECT_EQ(reseed_allocs, 0u)
       << "matrix-workload World::reseed() must recycle, not allocate";
+}
+
+TEST(AllocRegression, SkinListReseedIsAllocationFree) {
+  // The skin list (candidate keys, snapshot positions, the grid it is
+  // rebuilt from) keeps its capacity across World::reseed(): the reseed
+  // allocates nothing, and the reseeded run, whose first step rebuilds the
+  // list, stays at ~0 allocations/step.
+  WorldConfig config;
+  config.seed = 51;
+  World world(config);
+  auto route = std::make_shared<const geo::Polyline>(
+      std::vector<geo::Vec2>{{0.0, 0.0}, {300.0, 0.0}, {300.0, 300.0}, {0.0, 300.0}},
+      /*closed=*/true);
+  mobility::BusParams bus;
+  bus.stop_spacing = 100.0;
+  for (int i = 0; i < 40; ++i) {
+    world.add_node(route, bus, std::make_unique<routing::EpidemicRouter>());
+  }
+  mobility::RandomWaypointParams move;
+  move.world_min = {0.0, 0.0};
+  move.world_max = {300.0, 300.0};
+  move.speed_min = 2.0;
+  move.speed_max = 14.0;
+  for (int i = 0; i < 40; ++i) {
+    world.add_node(move, std::make_unique<routing::EpidemicRouter>());
+  }
+  for (int i = 0; i < 3000; ++i) world.step();
+  // Two identical reseeded runs: the second reaches no new high-water
+  // mark (connection pool, candidate list), so what follows is the steady
+  // state of a campaign.
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    world.reseed(52);
+    for (int i = 0; i < 1000; ++i) world.step();
+  }
+  ASSERT_GT(world.candidate_rebuilds(), 0);
+  ASSERT_GT(world.candidates_tested(), 0);
+
+  const std::uint64_t reseed_allocs = counted([&] { world.reseed(53); });
+  EXPECT_EQ(reseed_allocs, 0u) << "skin-list World::reseed() must recycle, not allocate";
+  constexpr int kSteps = 1000;
+  const std::uint64_t run_allocs = counted([&] {
+    for (int i = 0; i < kSteps; ++i) world.step();
+  });
+  EXPECT_GT(world.candidate_rebuilds(), 0);
+  EXPECT_LT(static_cast<double>(run_allocs) / kSteps, 0.5)
+      << "reseeded skin-list run regressed to allocating";
 }
 
 TEST(AllocRegression, EerWorldReseedIsAllocationFree) {
